@@ -695,7 +695,8 @@ let run_ablation () =
 let run_mc () =
   let module Mc = Ape_mc in
   heading "Monte Carlo throughput (opamp estimate workload, lib/mc)";
-  pf "host reports %d recommended domain(s)\n\n" (Mc.Pool.recommended_jobs ());
+  pf "host reports %d recommended domain(s)\n\n"
+    (Ape_util.Pool.recommended_jobs ());
   let spec = E.Opamp.spec ~av:200. ~ugf:2e6 ~ibias:1e-6 ~cl:10e-12 () in
   let samples = if fast_mode then 500 else 2_000 in
   let measure, checks = Mc.Scenario.opamp ~level:Mc.Scenario.Estimate proc spec in
@@ -817,11 +818,11 @@ let run_sweep () =
     Unix.gettimeofday () -. t0
   in
   (* Warm both paths once so allocation/GC start-up is off the clock. *)
-  List.iter (fun f -> ignore (Ac.solve_at op f)) grid;
+  List.iter (fun f -> ignore (Ape_oracle.Ac.solve_at op f)) grid;
   let t_restamp =
     time (fun () ->
         for _ = 1 to repeats do
-          List.iter (fun f -> ignore (Ac.solve_at op f)) grid
+          List.iter (fun f -> ignore (Ape_oracle.Ac.solve_at op f)) grid
         done)
   in
   let prep = Ac.prepare op in
@@ -840,7 +841,7 @@ let run_sweep () =
        ~header:[ "path"; "solves"; "seconds"; "solves/s" ]
        [
          [
-           "restamp (solve_at)"; string_of_int (repeats * n_grid);
+           "dense restamp (oracle)"; string_of_int (repeats * n_grid);
            Printf.sprintf "%.3f" t_restamp; eng (rate t_restamp);
          ];
          [
@@ -914,10 +915,8 @@ let run_sweep () =
     (100. *. hit_rate);
 
   (* Blocked frequency panels vs the per-frequency sparse path, on the
-     same 200-section ladder and grid the sparse bench gates on.  The
-     preparation dispatches on the backend it was built under, so one
-     sparse prepare serves every width. *)
-  let module Backend = Ape_spice.Backend in
+     same 200-section ladder and grid the sparse bench gates on; one
+     preparation serves every width. *)
   let k0 = Ac.panel_width () in
   let gate_n = if fast_mode then 120 else 200 in
   let ladder_grid =
@@ -925,10 +924,7 @@ let run_sweep () =
   in
   let ladder_pts = List.length ladder_grid in
   let panel_passes = if fast_mode then 20 else 40 in
-  let ladder_prep =
-    Backend.use Backend.Sparse (fun () ->
-        Ac.prepare (Ape_spice.Dc.solve (ladder_deck gate_n)))
-  in
+  let ladder_prep = Ac.prepare (Ape_spice.Dc.solve (ladder_deck gate_n)) in
   let rate_at_width width =
     Ac.set_panel_width width;
     ignore (Ac.sweep_prepared ladder_prep ladder_grid);
@@ -1044,7 +1040,7 @@ let run_sweep () =
   Ac.set_panel_width k0;
 
   (* Adjoint noise: one transposed solve per frequency for all sources
-     vs the historical one-solve-per-source path, counter-verified. *)
+     vs the oracle's one-solve-per-source path, counter-verified. *)
   let noise_sources =
     List.length (Ape_spice.Noise.noise_sources op 1e3)
   in
@@ -1052,8 +1048,7 @@ let run_sweep () =
   Ape_obs.enable ();
   Ape_obs.reset ();
   let nprep = Ac.prepare op in
-  ignore
-    (Ape_spice.Noise.output_noise_direct_prepared ~out:"out" ~freq:1e3 nprep);
+  ignore (Ape_oracle.Noise.output_noise_direct ~out:"out" ~freq:1e3 op);
   ignore (Ape_spice.Noise.output_noise_prepared ~out:"out" ~freq:1e3 nprep);
   let snap = Ape_obs.snapshot () in
   let cval name =
@@ -1476,19 +1471,19 @@ let run_calib () =
   pf "wrote BENCH_calib.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Sparse MNA engine: dense vs symbolic-once/numeric-many sparse LU on *)
-(* a generated RC-ladder AC sweep.  The dense LU is O(n^3) per         *)
-(* frequency; the sparse refactorisation is O(nnz) on a tridiagonal-   *)
-(* shaped system, so the gap widens with the deck.  ci.sh gates the    *)
-(* speedup at the largest size at >= 3x and the cross-engine solution  *)
-(* disagreement at <= 1e-8.  Emits BENCH_sparse.json.                  *)
+(* Sparse MNA engine: the oracle's dense restamping LU vs the          *)
+(* production symbolic-once/numeric-many sparse LU on a generated      *)
+(* RC-ladder AC sweep.  The dense LU is O(n^3) per frequency; the      *)
+(* sparse refactorisation is O(nnz) on a tridiagonal-shaped system, so *)
+(* the gap widens with the deck.  ci.sh gates the speedup at the       *)
+(* largest size at >= 3x and the dense/sparse solution disagreement at *)
+(* <= 1e-8.  Emits BENCH_sparse.json.                                  *)
 (* ------------------------------------------------------------------ *)
 
 let run_sparse () =
   heading "Sparse MNA engine: dense LU vs symbolic-once/numeric-many";
   let module Ac = Ape_spice.Ac in
   let module Dc = Ape_spice.Dc in
-  let module Backend = Ape_spice.Backend in
   let grid =
     Ac.sweep_frequencies ~points_per_decade:10 ~fstart:1e2 ~fstop:1e8 ()
   in
@@ -1498,24 +1493,22 @@ let run_sparse () =
     f ();
     Unix.gettimeofday () -. t0
   in
-  (* Rate of prepared per-frequency solves for one engine on one deck.
-     [passes] scales the sparse side up so both sit in a measurable
-     time window; the reported figure is solves/second either way. *)
-  let rate engine deck ~passes =
-    Backend.use engine (fun () ->
-        let op = Dc.solve deck in
-        let p = Ac.prepare op in
-        (* Warm pass: first-touch allocation and symbolic analysis off
-           the clock. *)
-        List.iter (fun f -> ignore (Ac.solve_prepared p f)) grid;
-        let t =
-          time (fun () ->
-              for _ = 1 to passes do
-                List.iter (fun f -> ignore (Ac.solve_prepared p f)) grid
-              done)
-        in
-        float_of_int (passes * n_grid) /. Float.max 1e-9 t)
+  (* Rate of per-frequency solves of one path on one deck.  [passes]
+     scales the sparse side up so both sit in a measurable time window;
+     the reported figure is solves/second either way. *)
+  let rate solve ~passes =
+    (* Warm pass: first-touch allocation off the clock. *)
+    List.iter (fun f -> ignore (solve f)) grid;
+    let t =
+      time (fun () ->
+          for _ = 1 to passes do
+            List.iter (fun f -> ignore (solve f)) grid
+          done)
+    in
+    float_of_int (passes * n_grid) /. Float.max 1e-9 t
   in
+  let dense_solve deck = Ape_oracle.Ac.solve_at (Ape_oracle.dc_solve deck) in
+  let sparse_solve deck = Ac.solve_prepared (Ac.prepare (Dc.solve deck)) in
   let gate_n = if fast_mode then 120 else 200 in
   let sizes =
     List.filter (fun s -> s <= gate_n) [ 8; 16; 32; 64; 128; 200 ]
@@ -1524,8 +1517,10 @@ let run_sparse () =
     List.map
       (fun n ->
         let deck = ladder_deck n in
-        let dense = rate Backend.Dense deck ~passes:1 in
-        let sparse = rate Backend.Sparse deck ~passes:(if n <= 32 then 20 else 50) in
+        let dense = rate (dense_solve deck) ~passes:1 in
+        let sparse =
+          rate (sparse_solve deck) ~passes:(if n <= 32 then 20 else 50)
+        in
         (n, dense, sparse, sparse /. dense))
       sizes
   in
@@ -1550,18 +1545,15 @@ let run_sparse () =
   in
 
   (* Differential check + instrumentation on the gate deck: the two
-     engines must agree on every sweep point, and the sparse counters
-     must show one symbolic analysis amortised over the whole sweep. *)
+     paths must agree on every sweep point, and the sparse counters must
+     show one symbolic analysis amortised over the whole sweep. *)
   let deck = ladder_deck gate_n in
-  let sweep_of engine =
-    Backend.use engine (fun () ->
-        let op = Dc.solve deck in
-        (Ac.sweep_prepared (Ac.prepare op) grid).Ac.points)
-  in
   Ape_obs.enable ();
   Ape_obs.reset ();
-  let pts_dense = sweep_of Backend.Dense in
-  let pts_sparse = sweep_of Backend.Sparse in
+  let pts_dense = List.map (dense_solve deck) grid in
+  let pts_sparse =
+    (Ac.sweep_prepared (Ac.prepare (Dc.solve deck)) grid).Ac.points
+  in
   let snap = Ape_obs.snapshot () in
   Ape_obs.disable ();
   let counter name =

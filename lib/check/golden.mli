@@ -7,8 +7,9 @@
     flags any drift beyond a tiny [rtol] (default 1e-6, i.e. only real
     behaviour changes, not formatting).  One exception: ill-conditioned
     attributes (currently [cmrr], a ratio against a near-cancelled
-    common-mode gain) are compared at 1e-3, so both linear-solver
-    engines ([--engine dense|sparse]) pass against one set of tables.
+    common-mode gain) are compared at 1e-3, so tables written with the
+    dense LU still pass under the sparse production solver, whose
+    elimination order differs.
 
     Promotion: rerun with [APE_UPDATE_GOLDEN=1] (or [ape verify
     --update]) to overwrite the tables with the fresh values, then

@@ -1,7 +1,7 @@
 (** Monte Carlo orchestration: sample → measure → classify → aggregate.
 
     [run config ~measure ~checks] evaluates [measure stream_i i] for
-    each sample index, in parallel over {!Pool}, where [stream_i] is the
+    each sample index, in parallel over {!Ape_util.Pool}, where [stream_i] is the
     sample's private RNG stream ({!Ape_util.Rng.split_n} keyed by
     index).  A sample is therefore a pure function of [(config.seed, i)]
     and the whole report is bit-identical for every [config.jobs] value

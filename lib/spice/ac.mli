@@ -6,21 +6,16 @@
     system at each requested frequency.  AC excitations are the [ac]
     magnitudes declared on the netlist's independent sources.
 
-    Two evaluation paths coexist:
-    - {!solve_at} re-stamps the netlist on every call (the historical
-      path, kept as an independent reference implementation);
-    - {!prepare} stamps the operating point {e once} into separate real
-      G (conductance) and C (capacitance) matrices plus the RHS pattern,
-      after which {!solve_prepared} only assembles [G + jωC] into a
-      reusable workspace and factors it — no netlist traversal, no
-      finite-difference Jacobian, no per-call matrix allocation.
-
-    Under the dense backend ({!Backend.Dense}) the two paths produce
-    bit-identical solutions.  Under {!Backend.Sparse} the prepared path
-    performs one symbolic analysis at ω = 0 and then only numeric
-    refactorisations per frequency; it agrees with the dense reference
-    to rounding (the elimination order differs), which
-    [test/test_sparse.ml] pins differentially on every golden deck. *)
+    {!prepare} stamps the operating point {e once} into sparse G
+    (conductance) and C (capacitance) slot values plus the RHS pattern
+    and runs one symbolic analysis of the sparse LU at ω = 0.  Every
+    frequency after that only assembles [G + jωC] into a reusable
+    workspace and refactors numerically — no netlist traversal, no
+    per-call matrix allocation.  Multi-frequency solves go through
+    frequency panels ({!solve_many}, {!sweep_prepared}) that replay one
+    refactor across several lanes, bit-identical to the per-frequency
+    path.  The dense restamping reference the differential tests compare
+    against lives in the test oracle, not here. *)
 
 type solution = {
   freq : float;  (** Hz *)
@@ -32,26 +27,28 @@ type sweep = {
   points : solution list;  (** ascending frequency *)
 }
 
-val solve_at : Dc.op -> float -> solution
-(** Single-frequency solve, re-stamping the full MNA system. *)
-
 type prepared
 (** One-time preparation of a circuit for repeated AC evaluation. *)
 
 val prepare : Dc.op -> prepared
-(** Stamp G, C and the AC RHS once.  Cost is one {!solve_at} minus the
-    factorisation; every subsequent {!solve_prepared} skips the netlist
-    traversal entirely. *)
+(** Stamp G, C and the AC RHS once and run the symbolic analysis;
+    every subsequent {!solve_prepared} skips the netlist traversal
+    entirely. *)
 
 val op : prepared -> Dc.op
 (** The operating point the preparation was built from. *)
 
+val stamp_rhs : Dc.op -> Complex.t array
+(** The AC excitation vector: the [ac] magnitudes of the netlist's
+    independent sources, constant over frequency. *)
+
 val solve_prepared : prepared -> float -> solution
-(** Assemble [G + jωC] in the preparation's workspace and solve.
-    Bit-identical to [solve_at (op p) freq] under the dense backend
-    (agrees to rounding under the sparse one).  Reuses internal mutable
-    workspaces: do not call concurrently from several domains on the
-    same [prepared] (use {!sweep_prepared}[ ~jobs] for that). *)
+(** Assemble [G + jωC] in the preparation's workspace, refactor and
+    solve.  A frequency whose frozen ω = 0 pivots go unstable is
+    refactored with fresh pivoting for that point only.  Reuses
+    internal mutable workspaces: do not call concurrently from several
+    domains on the same [prepared] (use {!sweep_prepared}[ ~jobs] for
+    that). *)
 
 val solve_fresh : prepared -> float -> solution
 (** Like {!solve_prepared} but with per-call workspaces, touching only
@@ -59,50 +56,37 @@ val solve_fresh : prepared -> float -> solution
     [prepared] from multiple domains. *)
 
 val panel_width : unit -> int
-(** Width of the frequency panels blocked solves use under the sparse
-    backend (how many frequencies one traversal of the symbolic
-    structure refactors and solves).  Defaults to 8, overridable with
-    the [APE_PANEL_WIDTH] environment variable; width 1 selects the
-    scalar per-frequency path.  Purely a throughput knob — results are
+(** Width of the frequency panels blocked solves use (how many
+    frequencies one traversal of the symbolic structure refactors and
+    solves): 8.  Width 1 is the scalar per-frequency path.  Results are
     bit-identical for every width. *)
 
 val set_panel_width : int -> unit
-(** Override {!panel_width} for this process ([k >= 1]). *)
+(** Override {!panel_width} for this process ([k >= 1]) — the seam the
+    width-identity test and the bench's width curve use. *)
 
 val solve_many : prepared -> float array -> solution array
 (** Blocked multi-frequency solve on the preparation's cached
-    single-domain workspace: under the sparse backend the grid is cut
-    into {!panel_width} panels, each refactored and solved by one
-    symbolic traversal ([Sparse.Csplit.Panel]); under the dense backend
-    it loops {!solve_prepared}.  Every point is bit-identical to
+    single-domain workspace: the grid is cut into {!panel_width}
+    panels, each refactored and solved by one symbolic traversal
+    ([Sparse.Csplit.Panel]).  Every point is bit-identical to
     [solve_prepared p f].  Not safe to call concurrently on one
     [prepared] (use {!sweep_prepared}[ ~jobs]). *)
 
 (** {2 Factored systems} *)
 
 type system
-(** A factored [G + jωC] at one frequency, for analyses that solve many
-    right-hand sides — and their adjoints — themselves (e.g. noise).
-    Backend-aware: dense split-complex LU or sparse numeric
-    refactorisation depending on {!Backend.current}. *)
+(** A factored [G + jωC] at one frequency, for analyses that solve
+    their own adjoint right-hand sides (e.g. noise). *)
 
 val system_at : prepared -> float -> system
 (** Assemble and factor the AC system at one frequency, with private
     workspaces (safe to use from any domain). *)
 
-val system_solve : system -> Complex.t array -> Complex.t array
-(** Solve [A x = b].  Under the dense backend, bit-identical to
-    factoring {!matrix_at} with [Cmat.lu_factor] and solving. *)
-
 val system_solve_transposed : system -> Complex.t array -> Complex.t array
 (** Solve [Aᵀ y = b] with the same factorisation — one adjoint solve
     against an output selector yields the transfer impedance from every
     injection site at once (reciprocity). *)
-
-val matrix_at : prepared -> float -> Ape_util.Matrix.Cmat.t
-(** Freshly allocated [G + jωC] at one frequency, for analyses that
-    factor the system themselves and solve many right-hand sides
-    (e.g. {!Noise}). *)
 
 val voltage : Dc.op -> solution -> Ape_circuit.Netlist.node -> Complex.t
 
@@ -141,8 +125,3 @@ val sweep :
 val transfer :
   node:Ape_circuit.Netlist.node -> sweep -> (float * Complex.t) list
 (** [(frequency, phasor)] of one node over the sweep. *)
-
-val magnitude_at :
-  node:Ape_circuit.Netlist.node -> Dc.op -> float -> float
-(** |V(node)| at one frequency — the building block the measurement
-    search routines refine with (re-stamping path). *)

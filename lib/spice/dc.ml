@@ -1,5 +1,4 @@
 module N = Ape_circuit.Netlist
-module Rmat = Ape_util.Matrix.Rmat
 
 type op = {
   netlist : N.t;
@@ -18,77 +17,36 @@ let max_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. a
 
 module Sp = Ape_util.Sparse
 
-(* Sparse Newton workspace: the stamp plan and slot values are built
-   once per solve; the factor's symbolic analysis (pivot order) is done
-   on the first iteration and replayed numerically on every later one —
-   across gmin/source-stepping stages too, since the pattern never
-   changes.  [ss_fac] drops back to [None] when a replay goes unstable
-   so the next iteration re-pivots. *)
-type sparse_state = {
-  ss_plan : Engine.plan;
-  ss_vals : Sp.Real.t;
-  mutable ss_fac : Sp.Real.factor option;
-}
+type linear_step =
+  gmin:float ->
+  source_scale:float ->
+  float array ->
+  (float array * float array) option
 
-let sparse_state netlist index =
-  match Backend.current () with
-  | Backend.Dense -> None
-  | Backend.Sparse ->
-    let plan = Engine.plan netlist index in
-    Some
-      {
-        ss_plan = plan;
-        ss_vals = Sp.Real.create (Engine.plan_pattern plan);
-        ss_fac = None;
-      }
-
-(* Factor (first time / after instability) or refactor, then solve.
-   [None] means numerically singular — same contract as the dense
-   [lu_factor] raising [Singular]. *)
-let sparse_step ss neg_f =
-  let fresh () =
-    match Sp.Real.factor ss.ss_vals with
-    | exception Sp.Singular -> None
-    | fac ->
-      ss.ss_fac <- Some fac;
-      Some (Sp.Real.solve fac neg_f)
-  in
-  match ss.ss_fac with
-  | None -> fresh ()
-  | Some fac -> (
-    match Sp.Real.refactor fac ss.ss_vals with
-    | () -> Some (Sp.Real.solve fac neg_f)
-    | exception (Sp.Unstable | Sp.Singular) ->
-      ss.ss_fac <- None;
-      fresh ())
+(* The production linearisation: the stamp plan and slot values are
+   built once per solve; the factor's symbolic analysis (pivot order) is
+   done on the first iteration and replayed numerically on every later
+   one — across gmin/source-stepping stages too, since the pattern never
+   changes. *)
+let sparse_step netlist index =
+  let plan = Engine.plan netlist index in
+  let vals = Sp.Real.create (Engine.plan_pattern plan) in
+  let solve = Sp.Real.solver vals in
+  fun ~gmin ~source_scale x ->
+    let f =
+      Engine.sparse_residual ~gmin ~source_scale plan netlist index x vals
+    in
+    Option.map (fun dx -> (f, dx)) (solve (Array.map (fun v -> -.v) f))
 
 (* One damped-Newton solve at a fixed (gmin, source_scale); updates [x]
    in place and returns iterations used, or None on failure. *)
 let newton ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12)
-    ?(damping = 0.5) ?sparse ~gmin ~source_scale netlist index x =
+    ?(damping = 0.5) ~step ~gmin ~source_scale index x =
   let n_nodes = Engine.n_nodes index in
   let rec loop iter =
     if iter > max_iter then None
     else begin
-      let step =
-        match sparse with
-        | None -> (
-          let f, j =
-            Engine.residual_jacobian ~gmin ~source_scale netlist index x
-          in
-          match Rmat.lu_factor j with
-          | exception Ape_util.Matrix.Singular -> None
-          | lu -> Some (f, Rmat.lu_solve lu (Array.map (fun v -> -.v) f)))
-        | Some ss -> (
-          let f =
-            Engine.sparse_residual ~gmin ~source_scale ss.ss_plan netlist
-              index x ss.ss_vals
-          in
-          match sparse_step ss (Array.map (fun v -> -.v) f) with
-          | None -> None
-          | Some dx -> Some (f, dx))
-      in
-      match step with
+      match step ~gmin ~source_scale x with
       | None -> None
       | Some (f, dx) ->
         if Array.exists (fun v -> Float.is_nan v) dx then None
@@ -138,7 +96,8 @@ let initial_guess netlist index =
   done;
   x
 
-let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
+let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0
+    ?(linear = sparse_step) netlist =
   N.validate netlist;
   let index = Engine.build_index netlist in
   let x =
@@ -149,9 +108,9 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
       Array.copy x
     | None -> initial_guess netlist index
   in
-  let sparse = sparse_state netlist index in
+  let step = linear netlist index in
   let try_newton ~gmin ~source_scale x =
-    newton ~max_iter ~tol_v ~tol_i ?sparse ~gmin ~source_scale netlist index x
+    newton ~max_iter ~tol_v ~tol_i ~step ~gmin ~source_scale index x
   in
   (* Plain Newton first. *)
   match try_newton ~gmin:1e-12 ~source_scale:1. x with
@@ -203,8 +162,8 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
              continuation path through near-singular regions). *)
           let x = initial_guess netlist index in
           match
-            newton ~max_iter:800 ~tol_v ~tol_i ~damping:0.05 ?sparse
-              ~gmin:1e-9 ~source_scale:1. netlist index x
+            newton ~max_iter:800 ~tol_v ~tol_i ~damping:0.05 ~step
+              ~gmin:1e-9 ~source_scale:1. index x
           with
           | Some _ -> finish_from x
           | None -> None
@@ -221,9 +180,9 @@ let solve_impl ?(max_iter = 150) ?(tol_v = 1e-9) ?(tol_i = 1e-12) ?x0 netlist =
                 netlist.N.title max_iter (Engine.size index)))
     end)
 
-let solve ?max_iter ?tol_v ?tol_i ?x0 netlist =
+let solve ?max_iter ?tol_v ?tol_i ?x0 ?linear netlist =
   Ape_obs.incr c_solves;
-  match solve_impl ?max_iter ?tol_v ?tol_i ?x0 netlist with
+  match solve_impl ?max_iter ?tol_v ?tol_i ?x0 ?linear netlist with
   | op ->
     Ape_obs.add c_newton_iters op.iterations;
     op

@@ -1,6 +1,9 @@
 (** DC operating-point analysis: damped Newton–Raphson with gmin stepping
     and a source-stepping fallback — the same continuation strategy SPICE
-    uses. *)
+    uses.  Each Newton iteration solves its linear system with the sparse
+    symbolic-once/numeric-many LU ({!Ape_util.Sparse}): one pivot
+    analysis per solve, replayed numerically across iterations and
+    continuation stages. *)
 
 type op = {
   netlist : Ape_circuit.Netlist.t;
@@ -11,15 +14,25 @@ type op = {
 
 exception No_convergence of string
 
+type linear_step =
+  gmin:float ->
+  source_scale:float ->
+  float array ->
+  (float array * float array) option
+(** One Newton linearisation at [x]: the residual [F(x)] and the step
+    [dx] solving [J dx = -F], or [None] when [J] is singular. *)
+
 val solve :
   ?max_iter:int ->
   ?tol_v:float ->
   ?tol_i:float ->
   ?x0:float array ->
+  ?linear:(Ape_circuit.Netlist.t -> Engine.index -> linear_step) ->
   Ape_circuit.Netlist.t ->
   op
 (** Raises {!No_convergence} if Newton, gmin stepping and source stepping
-    all fail. *)
+    all fail.  [linear] builds the per-solve linear step; the default is
+    the sparse LU, and only the dense test oracle passes another. *)
 
 val voltage : op -> Ape_circuit.Netlist.node -> float
 

@@ -92,8 +92,8 @@ val sparse_residual :
 (** Sparse twin of {!residual_jacobian}: stamps the Jacobian into [vals]
     (cleared first; must share the plan's pattern) and returns the
     residual [F(x)].  Each slot value is bitwise equal to the
-    corresponding dense matrix entry — the two engines differ only
-    through elimination order. *)
+    corresponding dense matrix entry — sparse and dense solves differ
+    only through elimination order. *)
 
 val sparse_capacitances :
   plan ->

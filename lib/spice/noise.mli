@@ -9,11 +9,9 @@
     adjoint system [Aᵀy = e_out], the impedance seen by a 1 A source
     from node [a] to node [b] is [y(b) − y(a)] — one transposed solve
     per frequency covers every source, however many the deck has
-    (counted under [noise.adjoint_solves]).  The system is factored
-    through the backend-aware {!Ac.system_at}, so [--engine sparse]
-    covers noise too.  {!output_noise_direct_prepared} keeps the
-    historical one-solve-per-source evaluation as an independent
-    reference (counted under [noise.direct_solves]).
+    (counted under [noise.adjoint_solves]), factored by {!Ac.system_at}.
+    The test oracle keeps a one-solve-per-source evaluation as the
+    independent reference.
 
     Input-referred noise divides by the circuit's own signal gain (from
     the netlist's declared AC excitation).
@@ -35,7 +33,8 @@ val noise_sources :
   (string * Ape_circuit.Netlist.node * Ape_circuit.Netlist.node * float) list
 (** [(element, a, b, psd)] of every noisy element at one frequency: a
     current-noise PSD (A²/Hz) injected from node [a] to node [b].
-    Exposed for the bench's solve-count accounting. *)
+    Exposed for the test oracle and the bench's solve-count
+    accounting. *)
 
 val output_noise :
   out:Ape_circuit.Netlist.node ->
@@ -51,15 +50,6 @@ val output_noise_prepared :
   Ac.prepared ->
   float * contribution list
 (** {!output_noise} on a shared preparation. *)
-
-val output_noise_direct_prepared :
-  out:Ape_circuit.Netlist.node ->
-  freq:float ->
-  Ac.prepared ->
-  float * contribution list
-(** Reference evaluation with one direct solve per source instead of
-    the single adjoint solve; agrees with {!output_noise_prepared} to
-    rounding (the differential suite pins ≤ 1e-10 relative). *)
 
 val input_referred :
   out:Ape_circuit.Netlist.node -> freq:float -> Dc.op -> float

@@ -1,7 +1,9 @@
 (** Transient analysis.
 
     Fixed-step implicit integration (backward Euler by default,
-    trapezoidal optionally) with a full Newton solve per step.  Source
+    trapezoidal optionally) with a full Newton solve per step.  Newton
+    steps solve with the sparse LU: one symbolic analysis per run,
+    replayed numerically across steps and iterations.  Source
     waveforms are supplied as functions of time keyed by source name
     ({!Engine.stimulus}), so the netlist itself stays purely structural.
 
@@ -38,9 +40,30 @@ type result = {
 exception Step_failed of float
 (** Newton failed at the given time even after step cutting. *)
 
+type companion = {
+  newton_step : float array -> float array option;
+      (** Newton step [dx] at [x] for the companion system
+          [F(x) + gc·C·(x − x_prev) − trap = 0], or [None] when its
+          Jacobian is singular *)
+  cap_current : float array -> float array;
+      (** capacitor companion current [gc·C·(x − x_prev) − trap] at an
+          accepted [x] *)
+}
+
+type linear_step =
+  time:float -> gc:float -> x_prev:float array -> trap:float array -> companion
+(** The linear system of one step attempt to [time]: [C] is stamped at
+    [x_prev], [gc] is [1/h] (backward Euler) or [2/h] (trapezoidal) and
+    [trap] the previous capacitor current (zero for backward Euler). *)
+
 val run :
   ?method_:method_ ->
   ?max_newton:int ->
+  ?linear:
+    (stimulus:Engine.stimulus ->
+    Ape_circuit.Netlist.t ->
+    Engine.index ->
+    linear_step) ->
   stimulus:Engine.stimulus ->
   tstop:float ->
   dt:float ->
@@ -48,7 +71,9 @@ val run :
   result
 (** Integrate from the DC operating point [op] at fixed step [dt].  On a
     Newton failure the step is halved (up to 8 times) before
-    {!Step_failed} is raised. *)
+    {!Step_failed} is raised.  [linear] builds the run's linear step;
+    the default is the sparse LU, and only the dense test oracle passes
+    another. *)
 
 val samples : result -> string -> float array
 (** Waveform of one node; raises [Not_found]. *)

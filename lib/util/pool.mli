@@ -37,8 +37,7 @@
     domain spawned.  An exception raised by [f] is re-raised by [map]
     after every chunk has been joined.
 
-    This pool serves the Monte Carlo runner (re-exported as
-    [Ape_mc.Pool]), the AC sweep's parallel frequency grids
+    This pool serves the Monte Carlo runner, the AC sweep's parallel frequency grids
     ([Ape_spice.Ac.sweep ~jobs]) and the multi-chain synthesis engine
     ([Ape_synth.Anneal.optimize_tempered]). *)
 

@@ -465,6 +465,25 @@ module Real = struct
       x.(i) <- y.(f.pinv.(i))
     done;
     x
+
+  let solver a =
+    let fac = ref None in
+    let fresh b =
+      match factor a with
+      | exception Singular -> None
+      | f ->
+        fac := Some f;
+        Some (solve f b)
+    in
+    fun b ->
+      match !fac with
+      | None -> fresh b
+      | Some f -> (
+        match refactor f a with
+        | () -> Some (solve f b)
+        | exception (Unstable | Singular) ->
+          fac := None;
+          fresh b)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -500,9 +519,9 @@ module Csplit = struct
       t.im.{s} <- omega *. cv.{s}
     done
 
-  (* Complex.div (Smith's algorithm) on split operands — same code as
-     Matrix.Csplit.cdiv so the two engines disagree only through
-     elimination order, never through scalar arithmetic. *)
+  (* Complex.div (Smith's algorithm) on split operands — the stdlib's
+     operation order, so the sparse and dense [Cmat] LUs disagree only
+     through elimination order, never through scalar arithmetic. *)
   let[@inline] cdiv xre xim yre yim =
     if Float.abs yre >= Float.abs yim then begin
       let r = yim /. yre in

@@ -23,11 +23,10 @@
     {!Real.factor} (counted under [sparse.refactor_unstable]).
 
     All factor value storage and workspaces are unboxed
-    [Bigarray.Array1] float buffers.  Unlike the dense
-    [Matrix.Csplit] path there is {e no} bit-identity contract with the
-    dense LU: the elimination order differs, so results agree only to
-    rounding (the differential suite in [test/test_sparse.ml] pins the
-    tolerance). *)
+    [Bigarray.Array1] float buffers.  There is {e no} bit-identity
+    contract with the dense {!Matrix} LU: the elimination order differs,
+    so results agree only to rounding (the differential suite in
+    [test/test_sparse.ml] pins the tolerance). *)
 
 exception Singular
 (** The matrix is numerically (or structurally) singular. *)
@@ -111,6 +110,13 @@ module Real : sig
       skeleton — gives an independent workspace for another domain whose
       {!refactor}/{!solve} arithmetic is identical to the original's. *)
 
+  val solver : t -> float array -> float array option
+  (** [solver a] solves against the current contents of [a], for
+      Newton loops that restamp [a] between calls: the first call
+      factors (the symbolic analysis), later ones refactor numerically
+      along the frozen pivots, re-pivoting after an unstable replay.
+      [None] when [a] is numerically singular. *)
+
   val lnz : factor -> int
   (** Strictly-lower entries of L (unit diagonal implicit). *)
 
@@ -120,7 +126,7 @@ end
 
 (** Split-storage complex matrices over a shared {!pattern} — separate
     re/im float64 bigarrays, Smith's division and [Float.hypot] pivot
-    magnitudes exactly as the dense [Matrix.Csplit]. *)
+    magnitudes exactly as the stdlib [Complex] operations. *)
 module Csplit : sig
   type t
 

@@ -17,17 +17,45 @@ type t = {
 
 exception Spec_error of string
 
-let need_number items key label =
-  match Sexp.assoc_number key items with
+module Sexpr = Ape_util.Sexpr
+
+let fail (p : Sexpr.pos) msg =
+  raise (Spec_error (Printf.sprintf "%d:%d: %s" p.Sexpr.line p.Sexpr.col msg))
+
+let fail_at (span : Sexpr.span) msg = fail span.Sexpr.s_start msg
+
+let number node =
+  let a = Sexpr.atom node in
+  match Ape_symbolic.Parser.parse_number a with
   | Some v -> v
-  | None ->
-    raise (Spec_error (Printf.sprintf "%s: missing (%s <value>)" label key))
+  | None -> fail_at (Sexpr.span_of node) ("expected a number, got " ^ a)
+
+(* [assoc key items] finds [(key a b c)] among [items] and returns
+   [[a; b; c]] with the form's span. *)
+let assoc key items =
+  List.find_map
+    (function
+      | Sexpr.List (Sexpr.Atom (k, _) :: rest, span) when String.equal k key ->
+        Some (rest, span)
+      | Sexpr.List _ | Sexpr.Atom _ -> None)
+    items
+
+let assoc_number key items =
+  match assoc key items with
+  | Some ([ v ], _) -> Some (number v)
+  | Some (_, span) -> fail_at span (Printf.sprintf "(%s ...) takes one value" key)
+  | None -> None
 
 let parse_module idx = function
-  | Sexp.List (Sexp.Atom kind :: fields) -> (
+  | Sexpr.List (Sexpr.Atom (kind, kind_span) :: fields, span) -> (
     let label = Printf.sprintf "%s%d" kind (idx + 1) in
-    let num key = need_number fields key label in
-    let opt key = Sexp.assoc_number key fields in
+    let num key =
+      match assoc_number key fields with
+      | Some v -> v
+      | None ->
+        fail_at span (Printf.sprintf "%s: missing (%s <value>)" label key)
+    in
+    let opt key = assoc_number key fields in
     match kind with
     | "lowpass" ->
       {
@@ -104,20 +132,19 @@ let parse_module idx = function
           E.Module_lib.Comparator_m
             (E.Data_conv.Comparator.spec ~delay:(num "delay") ());
       }
-    | other -> raise (Spec_error ("unknown module kind " ^ other)))
-  | other ->
-    raise (Spec_error ("bad module declaration " ^ Sexp.to_string other))
+    | other -> fail_at kind_span ("unknown module kind " ^ other))
+  | other -> fail_at (Sexpr.span_of other) "bad module declaration"
 
-let parse text =
-  match Sexp.parse text with
-  | [ Sexp.List (Sexp.Atom "system" :: Sexp.Atom name :: body) ] ->
+let parse_forms = function
+  | [ Sexpr.List (Sexpr.Atom ("system", _) :: Sexpr.Atom (name, _) :: body, span) ]
+    ->
     let chain =
-      match Sexp.assoc "chain" body with
-      | Some modules -> List.mapi parse_module modules
-      | None -> raise (Spec_error "missing (chain ...)")
+      match assoc "chain" body with
+      | Some (modules, _) -> List.mapi parse_module modules
+      | None -> fail_at span "missing (chain ...)"
     in
     let requirements =
-      match Sexp.assoc "require" body with
+      match assoc "require" body with
       | None ->
         {
           total_gain = None;
@@ -125,16 +152,22 @@ let parse text =
           area_max = None;
           power_max = None;
         }
-      | Some fields ->
+      | Some (fields, _) ->
         {
-          total_gain = Sexp.assoc_number "total_gain" fields;
-          bandwidth = Sexp.assoc_number "bandwidth" fields;
-          area_max = Sexp.assoc_number "area_max" fields;
-          power_max = Sexp.assoc_number "power_max" fields;
+          total_gain = assoc_number "total_gain" fields;
+          bandwidth = assoc_number "bandwidth" fields;
+          area_max = assoc_number "area_max" fields;
+          power_max = assoc_number "power_max" fields;
         }
     in
     { name; chain; requirements }
-  | _ -> raise (Spec_error "expected a single (system <name> ...) form")
+  | [] -> raise (Spec_error "expected a single (system <name> ...) form")
+  | [ node ] | _ :: node :: _ ->
+    fail_at (Sexpr.span_of node) "expected a single (system <name> ...) form"
+
+let parse text =
+  try parse_forms (Sexpr.parse text)
+  with Sexpr.Error { pos; msg } -> fail pos msg
 
 type estimated = {
   system : t;

@@ -33,7 +33,8 @@ type t = {
 exception Spec_error of string
 
 val parse : string -> t
-(** Raises {!Spec_error} (or {!Sexp.Parse_error}) on malformed input. *)
+(** Raises {!Spec_error} on malformed input, its message prefixed with
+    the [line:col] of the offending form. *)
 
 type estimated = {
   system : t;

@@ -67,7 +67,7 @@ let error_of = function
 
 let span_string (e : Job.error) =
   match e.Job.span with
-  | Some s -> Sv.Reader.pp_span s
+  | Some s -> Ape_util.Sexpr.pp_span s
   | None -> "-"
 
 let test_parse_error_spans () =

@@ -3,11 +3,11 @@
    [Ape_util.Sparse] has no bit-identity contract with the dense LU
    (the elimination order differs), so these tests pin the actual
    guarantees: sparse solves agree with [Matrix] dense solves to tight
-   tolerances on random MNA-shaped systems; the engine-switched AC/DC/
-   transient paths agree with the dense reference on every golden deck;
-   refactorisation replays are exact; parallel sweeps are bit-identical
-   to sequential ones for any [~jobs]; and the Newton counter
-   invariants survive the engine swap. *)
+   tolerances on random MNA-shaped systems; the production AC/DC/
+   transient paths agree with the dense reference in [Ape_oracle] on
+   every golden deck; refactorisation replays are exact; parallel and
+   panelled sweeps are bit-identical to sequential per-frequency ones;
+   and the Newton counter invariants hold on the sparse path. *)
 
 module Sp = Ape_util.Sparse
 module Rmat = Ape_util.Matrix.Rmat
@@ -16,7 +16,7 @@ module N = Ape_circuit.Netlist
 module Dc = Ape_spice.Dc
 module Ac = Ape_spice.Ac
 module Tr = Ape_spice.Transient
-module Backend = Ape_spice.Backend
+module Oracle = Ape_oracle
 
 let proc = Ape_process.Process.c12
 
@@ -484,13 +484,13 @@ let test_golden_sweep_differential () =
       | deck -> (
         match Dc.solve deck with
         | exception Dc.No_convergence _ -> ()
-        | _ ->
+        | op ->
           incr checked;
-          let points engine =
-            Backend.use engine (fun () ->
-                let op = Dc.solve deck in
-                (Ac.sweep_prepared (Ac.prepare op) freqs).Ac.points)
+          let dense =
+            let op = Oracle.dc_solve deck in
+            List.map (Oracle.Ac.solve_at op) freqs
           in
+          let sparse = (Ac.sweep_prepared (Ac.prepare op) freqs).Ac.points in
           List.iter2
             (fun (d : Ac.solution) (s : Ac.solution) ->
               let scale =
@@ -505,15 +505,14 @@ let test_golden_sweep_differential () =
                     Alcotest.failf "%s: dense/sparse drift %g at %g Hz (x%d)"
                       file err d.Ac.freq i)
                 d.Ac.x)
-            (points Backend.Dense) (points Backend.Sparse)))
+            dense sparse))
     (golden_decks ());
   Alcotest.(check bool) "checked several decks" true (!checked >= 3)
 
 let test_golden_sweep_jobs_bitwise () =
-  (* Under the sparse engine, parallel sweeps must stay bit-identical
-     to sequential ones: every domain refactors its own clone of the
-     shared symbolic factor with identical arithmetic. *)
-  Backend.use Backend.Sparse @@ fun () ->
+  (* Parallel sweeps must stay bit-identical to sequential ones: every
+     domain refactors its own clone of the shared symbolic factor with
+     identical arithmetic. *)
   let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
   List.iter
     (fun file ->
@@ -538,9 +537,12 @@ let test_golden_sweep_jobs_bitwise () =
 
 let test_golden_sweep_panel_width_bitwise () =
   (* Whatever the panel width — including widths that leave a partial
-     trailing panel — a sparse sweep must reproduce the per-frequency
-     path bit for bit. *)
-  Backend.use Backend.Sparse @@ fun () ->
+     trailing panel — a sweep must reproduce the per-frequency path bit
+     for bit, on the golden decks and the serve example RC deck. *)
+  let rc_example =
+    List.find Sys.file_exists
+      [ "../examples/jobs/rc.sp"; "examples/jobs/rc.sp" ]
+  in
   let freqs = Ac.sweep_frequencies ~fstart:1e2 ~fstop:1e9 () in
   let k0 = Ac.panel_width () in
   Fun.protect ~finally:(fun () -> Ac.set_panel_width k0) @@ fun () ->
@@ -572,19 +574,18 @@ let test_golden_sweep_panel_width_bitwise () =
                   a.Ac.x)
               reference (points k))
           [ 3; 8; 16 ])
-    (golden_decks ())
+    (golden_decks () @ [ rc_example ])
 
 let test_golden_dc_differential () =
   List.iter
     (fun file ->
       let deck = parse_deck file in
-      let solve engine =
-        Backend.use engine (fun () ->
-            match Dc.solve deck with
-            | exception Dc.No_convergence _ -> None
-            | op -> Some op.Dc.x)
+      let solve f =
+        match f deck with
+        | exception Dc.No_convergence _ -> None
+        | op -> Some op.Dc.x
       in
-      match (solve Backend.Dense, solve Backend.Sparse) with
+      match (solve Oracle.dc_solve, solve Dc.solve) with
       | Some xd, Some xs ->
         if rel_err xd xs > 1e-6 then
           Alcotest.failf "%s: DC dense/sparse drift %g" file (rel_err xd xs)
@@ -592,13 +593,12 @@ let test_golden_dc_differential () =
       | _ -> Alcotest.failf "%s: engines disagree about convergence" file)
     (golden_decks ())
 
-(* ---------- transient invariants under the sparse engine ---------- *)
+(* ---------- transient invariants on the sparse path ---------- *)
 
 let counter snap name =
   try List.assoc name snap.Ape_obs.counters with Not_found -> 0
 
 let test_transient_counters_sparse () =
-  Backend.use Backend.Sparse @@ fun () ->
   let deck = parse_deck (List.hd (golden_decks ())) in
   Ape_obs.enable ();
   Ape_obs.reset ();
@@ -617,10 +617,10 @@ let test_transient_counters_sparse () =
   and solves = counter snap "transient.solves"
   and cuts = counter snap "transient.step_cuts" in
   Alcotest.(check bool) "ran steps" true (steps > 0);
-  (* Same accounting as the dense engine (locked since the step-cutting
-     controller landed): each cut retries as two half-steps. *)
+  (* Accounting locked since the step-cutting controller landed: each
+     cut retries as two half-steps. *)
   Alcotest.(check int) "solves = steps + 2*cuts" (steps + (2 * cuts)) solves;
-  Alcotest.(check bool) "sparse engine actually used" true
+  Alcotest.(check bool) "sparse LU used by default" true
     (counter snap "sparse.symbolic" > 0)
 
 let test_transient_waveform_differential () =
@@ -632,12 +632,10 @@ let test_transient_waveform_differential () =
     |> Option.get
   in
   let stim = [ (source, Tr.step ~t0:1e-7 ~high:1. ()) ] in
-  let run engine =
-    Backend.use engine (fun () ->
-        let op = Dc.solve deck in
-        Tr.run ~stimulus:stim ~tstop:2e-6 ~dt:2e-8 op)
-  in
-  let rd = run Backend.Dense and rs = run Backend.Sparse in
+  let rd =
+    Oracle.transient_run ~stimulus:stim ~tstop:2e-6 ~dt:2e-8
+      (Oracle.dc_solve deck)
+  and rs = Tr.run ~stimulus:stim ~tstop:2e-6 ~dt:2e-8 (Dc.solve deck) in
   List.iter2
     (fun (name, yd) (name', ys) ->
       Alcotest.(check string) "node order" name name';
@@ -649,18 +647,17 @@ let test_transient_waveform_differential () =
         yd)
     rd.Tr.nodes rs.Tr.nodes
 
-(* ---------- metamorphic: ape verify under the sparse engine ---------- *)
+(* ---------- metamorphic: ape verify on the sparse path ---------- *)
 
 let test_verify_golden_under_sparse () =
-  (* The full differential-verification catalog, gated against the same
-     golden tables the dense engine maintains: switching the linear
-     solver must not change any published behaviour.  (CMRR is compared
+  (* The full differential-verification catalog, gated against the
+     golden tables (written with the dense LU): the sparse linear solver
+     must not change any published behaviour.  (CMRR is compared
      at its documented looser tolerance — see Golden.compare_rows.) *)
   let module C = Ape_check in
   let golden_dir =
     List.find Sys.file_exists [ "golden"; Filename.concat "test" "golden" ]
   in
-  Backend.use Backend.Sparse @@ fun () ->
   let outcome =
     C.Check.run ~slew:false ~golden_dir ~levels:[ C.Tolerance.Basic ] proc
   in

@@ -133,7 +133,7 @@ let test_ac_rc_analytic () =
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-6) in
   List.iter
     (fun f ->
-      let mag = Ac.magnitude_at ~node:"out" op f in
+      let mag = Ac.magnitude_prepared ~node:"out" (Ac.prepare op) f in
       let expected = 1. /. Float.sqrt (1. +. ((f /. fc) ** 2.)) in
       check_close (Printf.sprintf "|H| at %g Hz" f) expected mag ~tol:1e-6)
     [ 1.; 10.; fc; 1e3; 1e4 ]
@@ -378,7 +378,7 @@ let test_awe_two_pole () =
   (* The approximant evaluates close to the direct AC solution. *)
   List.iter
     (fun f ->
-      let direct = Ac.magnitude_at ~node:"out" op f in
+      let direct = Ac.magnitude_prepared ~node:"out" (Ac.prepare op) f in
       let reduced = Complex.norm (Awe.eval approx f) in
       check_close (Printf.sprintf "awe vs ac at %g" f) direct reduced
         ~tol:0.02)
@@ -615,65 +615,53 @@ let noise_golden_ops () =
            else Some (file, deck))
 
 let test_noise_adjoint_matches_direct () =
-  (* Reciprocity differential: one adjoint solve per frequency must
-     agree with the historical one-solve-per-source reference to
-     rounding, per element, on every golden deck and under both
-     engines.  1e-10 relative is ~5 orders of slack over the observed
-     worst case while still catching a misplaced transpose. *)
-  let module Backend = Ape_spice.Backend in
+  (* Reciprocity differential: one sparse adjoint solve per frequency
+     must agree with the oracle's dense one-solve-per-source reference
+     to rounding, per element, on every golden deck.  1e-10 relative is
+     ~5 orders of slack over the observed worst case while still
+     catching a misplaced transpose. *)
   let tol = 1e-10 in
   let checked = ref 0 in
   List.iter
-    (fun engine ->
-      Backend.use engine @@ fun () ->
+    (fun (file, deck) ->
+      let op = Dc.solve deck in
+      let prep = Ac.prepare op in
       List.iter
-        (fun (file, deck) ->
-          let op = Dc.solve deck in
-          let prep = Ac.prepare op in
+        (fun freq ->
+          incr checked;
+          let t_adj, c_adj =
+            Ape_spice.Noise.output_noise_prepared ~out:"out" ~freq prep
+          in
+          let t_dir, c_dir =
+            Ape_oracle.Noise.output_noise_direct ~out:"out" ~freq op
+          in
+          if Float.abs (t_adj -. t_dir) > tol *. Float.max t_dir 1e-300 then
+            Alcotest.failf "%s @ %g Hz: adjoint total %g vs direct %g" file
+              freq t_adj t_dir;
+          Alcotest.(check int)
+            "same contribution count" (List.length c_dir) (List.length c_adj);
           List.iter
-            (fun freq ->
-              incr checked;
-              let t_adj, c_adj =
-                Ape_spice.Noise.output_noise_prepared ~out:"out" ~freq prep
+            (fun (d : Ape_spice.Noise.contribution) ->
+              let a =
+                List.find
+                  (fun (a : Ape_spice.Noise.contribution) ->
+                    a.Ape_spice.Noise.element = d.Ape_spice.Noise.element)
+                  c_adj
               in
-              let t_dir, c_dir =
-                Ape_spice.Noise.output_noise_direct_prepared ~out:"out" ~freq
-                  prep
-              in
-              if Float.abs (t_adj -. t_dir) > tol *. Float.max t_dir 1e-300
-              then
-                Alcotest.failf "%s @ %g Hz: adjoint total %g vs direct %g" file
-                  freq t_adj t_dir;
-              Alcotest.(check int)
-                "same contribution count" (List.length c_dir)
-                (List.length c_adj);
-              List.iter
-                (fun (d : Ape_spice.Noise.contribution) ->
-                  let a =
-                    List.find
-                      (fun (a : Ape_spice.Noise.contribution) ->
-                        a.Ape_spice.Noise.element = d.Ape_spice.Noise.element)
-                      c_adj
-                  in
-                  let pd = d.Ape_spice.Noise.psd
-                  and pa = a.Ape_spice.Noise.psd in
-                  if Float.abs (pa -. pd) > tol *. Float.max pd 1e-300 then
-                    Alcotest.failf "%s @ %g Hz: %s adjoint %g vs direct %g"
-                      file freq d.Ape_spice.Noise.element pa pd)
-                c_dir)
-            [ 1e2; 1e5 ])
-        (noise_golden_ops ()))
-    [ Backend.Dense; Backend.Sparse ];
+              let pd = d.Ape_spice.Noise.psd and pa = a.Ape_spice.Noise.psd in
+              if Float.abs (pa -. pd) > tol *. Float.max pd 1e-300 then
+                Alcotest.failf "%s @ %g Hz: %s adjoint %g vs direct %g" file
+                  freq d.Ape_spice.Noise.element pa pd)
+            c_dir)
+        [ 1e2; 1e5 ])
+    (noise_golden_ops ());
   Alcotest.(check bool) "checked several decks" true (!checked >= 6)
 
 let test_noise_sparse_engine_counters () =
-  (* Regression for the engine split: under the sparse backend, noise
-     must factor through the sparse refactor path — exactly one adjoint
-     solve per frequency, sparse counters ticking, and no dense LU. *)
-  let module Backend = Ape_spice.Backend in
-  Backend.use Backend.Sparse @@ fun () ->
-  let file, deck = List.hd (noise_golden_ops ()) in
-  ignore file;
+  (* Noise factors through the sparse refactor path — exactly one
+     adjoint solve per frequency, sparse counters ticking, and no dense
+     LU. *)
+  let _, deck = List.hd (noise_golden_ops ()) in
   let op = Dc.solve deck in
   let prep = Ac.prepare op in
   Ape_obs.enable ();
@@ -687,8 +675,7 @@ let test_noise_sparse_engine_counters () =
   Alcotest.(check int) "one adjoint solve" 1 (c "noise.adjoint_solves");
   Alcotest.(check bool) "sparse refactor ticked" true (c "sparse.refactor" > 0);
   Alcotest.(check int) "no dense LU" 0
-    (c "matrix.lu_factor" + c "matrix.lu_factor_in_place"
-    + c "matrix.csplit_factor")
+    (c "matrix.lu_factor" + c "matrix.lu_factor_in_place")
 
 (* ---------- dc sweep ---------- *)
 
@@ -726,8 +713,8 @@ let test_sweep_crossing () =
 (* ---------- prepared AC engine ---------- *)
 
 (* Bitwise agreement (up to -0. = 0.) between two AC solutions: the
-   prepared path must not change a single arithmetic operation relative
-   to the re-stamping path. *)
+   scalar, fresh-workspace, panelled and parallel entry points must not
+   change a single arithmetic operation relative to each other. *)
 let same_solution (a : Ac.solution) (b : Ac.solution) =
   a.Ac.freq = b.Ac.freq
   && Array.length a.Ac.x = Array.length b.Ac.x
@@ -748,11 +735,22 @@ let golden_decks () =
   |> List.sort compare
   |> List.map (fun f -> Filename.concat dir f)
 
+(* Documented tolerance of the production path against the dense
+   restamping oracle: same stamp values, different elimination order. *)
+let within_restamp_tol (reference : Ac.solution) (x : Ac.solution) =
+  let scale =
+    Array.fold_left
+      (fun acc (z : Complex.t) -> Float.max acc (Complex.norm z))
+      1e-12 reference.Ac.x
+  in
+  Array.for_all2
+    (fun (u : Complex.t) (v : Complex.t) ->
+      Complex.norm (Complex.sub u v) /. scale <= 1e-8)
+    reference.Ac.x x.Ac.x
+
 let test_prepared_matches_solve_at_golden () =
-  (* Dense engine pinned: [solve_at] is the always-dense reference, and
-     the bit-identity contract is dense-only (test_sparse.ml pins the
-     sparse engine's tolerance). *)
-  Ape_spice.Backend.use Ape_spice.Backend.Dense @@ fun () ->
+  (* Every prepared entry point agrees bit for bit with [solve_prepared]
+     and within 1e-8 of the oracle's dense restamping solve. *)
   let freqs = [ 0.; 1.; 120.; 1e3; 4.567e4; 1e6; 1e9 ] in
   let verified = ref 0 in
   List.iter
@@ -764,18 +762,28 @@ let test_prepared_matches_solve_at_golden () =
       | op ->
         incr verified;
         let p = Ac.prepare op in
+        let scalar = List.map (Ac.solve_prepared p) freqs in
+        let check what xs =
+          List.iter2
+            (fun (a : Ac.solution) b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s = solve_prepared at %g Hz" file what
+                   a.Ac.freq)
+                true (same_solution a b))
+            scalar xs
+        in
+        check "fresh" (List.map (Ac.solve_fresh p) freqs);
+        check "many" (Array.to_list (Ac.solve_many p (Array.of_list freqs)));
+        check "jobs=1" (Ac.sweep_prepared ~jobs:1 p freqs).Ac.points;
+        check "jobs=4" (Ac.sweep_prepared ~jobs:4 p freqs).Ac.points;
         List.iter
-          (fun f ->
-            let reference = Ac.solve_at op f in
+          (fun (a : Ac.solution) ->
             Alcotest.(check bool)
-              (Printf.sprintf "%s: prepared = solve_at at %g Hz" file f)
+              (Printf.sprintf "%s: within 1e-8 of restamp at %g Hz" file
+                 a.Ac.freq)
               true
-              (same_solution reference (Ac.solve_prepared p f));
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: fresh = solve_at at %g Hz" file f)
-              true
-              (same_solution reference (Ac.solve_fresh p f)))
-          freqs)
+              (within_restamp_tol (Ape_oracle.Ac.solve_at op a.Ac.freq) a))
+          scalar)
     (golden_decks ());
   Alcotest.(check bool) "solved several golden decks" true (!verified >= 3)
 
@@ -806,41 +814,51 @@ let mos_amp_op () =
   Dc.solve (B.finish b)
 
 let prop_prepared_matches_solve_at =
-  (* Bit-identity only holds on the dense engine ([solve_at] is always
-     dense); under APE_ENGINE=sparse the sparse-specific differential
-     suite in test_sparse.ml covers the prepared path. *)
-  QCheck.Test.make ~name:"prepared solve bit-identical to solve_at" ~count:60
-    (QCheck.float_range (-1.) 9.) (fun logf ->
-      Ape_spice.Backend.use Ape_spice.Backend.Dense @@ fun () ->
+  QCheck.Test.make
+    ~name:"prepared solve bit-identical to solve_fresh, 1e-8 of restamp"
+    ~count:60 (QCheck.float_range (-1.) 9.) (fun logf ->
       let f = 10. ** logf in
       let op = mos_amp_op () in
       let p = Ac.prepare op in
-      same_solution (Ac.solve_at op f) (Ac.solve_prepared p f))
+      let x = Ac.solve_prepared p f in
+      same_solution x (Ac.solve_fresh p f)
+      && within_restamp_tol (Ape_oracle.Ac.solve_at op f) x)
 
 let prop_assembled_matrix_matches_direct_stamping =
+  (* The sparse G + jωC the prepared path factors, slot by slot, against
+     the oracle's direct dense stamping; entries outside the pattern
+     must be zero in the dense matrix. *)
   QCheck.Test.make ~name:"G + jωC assembly matches direct stamping" ~count:60
     (QCheck.float_range (-1.) 9.) (fun logf ->
-      let module Rmat = Ape_util.Matrix.Rmat in
+      let module Sp = Ape_util.Sparse in
       let module Cmat = Ape_util.Matrix.Cmat in
+      let module Engine = Ape_spice.Engine in
       let freq = 10. ** logf in
       let op = mos_amp_op () in
-      let a = Ac.matrix_at (Ac.prepare op) freq in
       let netlist = op.Dc.netlist and index = op.Dc.index in
-      let n = Ape_spice.Engine.size index in
-      let _, g =
-        Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist index op.Dc.x
+      let plan = Engine.plan netlist index in
+      let pat = Engine.plan_pattern plan in
+      let g = Sp.Real.create pat and c = Sp.Real.create pat in
+      let (_ : float array) =
+        Engine.sparse_residual ~gmin:1e-12 plan netlist index op.Dc.x g
       in
-      let c = Ape_spice.Engine.stamp_capacitances netlist index op.Dc.x in
-      let omega = 2. *. Float.pi *. freq in
+      Engine.sparse_capacitances plan netlist index op.Dc.x c;
+      let v = Sp.Csplit.create pat in
+      Sp.Csplit.assemble_gc v ~g ~c ~omega:(2. *. Float.pi *. freq);
+      let a = Ape_oracle.Ac.matrix_at op freq in
+      let n = Engine.size index in
+      let covered = Array.make_matrix n n false in
       let ok = ref true in
+      Sp.iter pat (fun s row col ->
+          covered.(row).(col) <- true;
+          let re, im = Sp.Csplit.get_slot v s in
+          let entry = Cmat.get a row col in
+          if not (entry.Complex.re = re && entry.Complex.im = im) then
+            ok := false);
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          let entry = Cmat.get a i j in
-          if
-            not
-              (entry.Complex.re = Rmat.get g i j
-              && entry.Complex.im = omega *. Rmat.get c i j)
-          then ok := false
+          if (not covered.(i).(j)) && Cmat.get a i j <> Complex.zero then
+            ok := false
         done
       done;
       !ok)
@@ -1009,7 +1027,7 @@ let test_transient_matches_ac_steady_state () =
      output amplitude must equal the AC magnitude at that frequency. *)
   let op = Dc.solve (rc_lowpass ()) in
   let fc = 1. /. (2. *. Float.pi *. 1e-3) in
-  let ac_mag = Ac.magnitude_at ~node:"out" op fc in
+  let ac_mag = Ac.magnitude_prepared ~node:"out" (Ac.prepare op) fc in
   let period = 1. /. fc in
   let result =
     Tr.run
@@ -1054,7 +1072,7 @@ let prop_ac_rc_any_freq =
       let f = 10. ** logf in
       let op = Dc.solve (rc_lowpass ()) in
       let fc = 1. /. (2. *. Float.pi *. 1e-3) in
-      let mag = Ac.magnitude_at ~node:"out" op f in
+      let mag = Ac.magnitude_prepared ~node:"out" (Ac.prepare op) f in
       let expected = 1. /. Float.sqrt (1. +. ((f /. fc) ** 2.)) in
       F.approx_equal ~rtol:1e-6 ~atol:1e-9 expected mag)
 

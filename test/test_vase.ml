@@ -1,7 +1,8 @@
-(* Tests for Ape_vase: the S-expression reader, the system spec language
-   (Figure 1's front end) and the constraint transformation. *)
+(* Tests for Ape_vase: the spec language's reader (the shared positioned
+   [Ape_util.Sexpr]), the system spec language (Figure 1's front end)
+   and the constraint transformation. *)
 
-module Sexp = Ape_vase.Sexp
+module Sexpr = Ape_util.Sexpr
 module System = Ape_vase.System
 module Cm = Ape_vase.Constraint_map
 module E = Ape_estimator
@@ -11,34 +12,51 @@ let proc = Ape_process.Process.c12
 
 (* ---------- sexp ---------- *)
 
+(* Position-free rendering, for structural comparisons. *)
+let rec to_string = function
+  | Sexpr.Atom (a, _) -> a
+  | Sexpr.List (items, _) ->
+    "(" ^ String.concat " " (List.map to_string items) ^ ")"
+
+let expect_spec_error ~at s =
+  match System.parse s with
+  | exception System.Spec_error msg ->
+    if not (String.starts_with ~prefix:(at ^ ": ") msg) then
+      Alcotest.failf "error %S should start at %s" msg at
+  | _ -> Alcotest.failf "expected Spec_error for %s" s
+
 let test_sexp_parse () =
-  match Sexp.parse "(a (b 1 2) c) ; comment\n(d)" with
-  | [ Sexp.List [ Sexp.Atom "a"; Sexp.List [ Sexp.Atom "b"; Sexp.Atom "1"; Sexp.Atom "2" ]; Sexp.Atom "c" ];
-      Sexp.List [ Sexp.Atom "d" ] ] ->
-    ()
-  | other ->
-    Alcotest.fail
-      ("unexpected parse: "
-      ^ String.concat " " (List.map Sexp.to_string other))
+  Alcotest.(check (list string))
+    "forms" [ "(a (b 1 2) c)"; "(d)" ]
+    (List.map to_string (Sexpr.parse "(a (b 1 2) c) ; comment\n(d)"))
 
 let test_sexp_helpers () =
-  let items = Sexp.parse "(gain 40) (fc 1k)" in
-  Alcotest.(check (option (float 1e-9))) "assoc number" (Some 40.)
-    (Sexp.assoc_number "gain" items);
-  Alcotest.(check (option (float 1e-3))) "si suffix" (Some 1000.)
-    (Sexp.assoc_number "fc" items);
-  Alcotest.(check (option (float 1e-9))) "missing" None
-    (Sexp.assoc_number "nope" items)
+  match Sexpr.parse "(gain 40)\n  (fc 1k)" with
+  | [ gain; (Sexpr.List ([ _; v ], _) as fc) ] ->
+    Alcotest.(check string) "list span" "1:1-1:10"
+      (Sexpr.pp_span (Sexpr.span_of gain));
+    Alcotest.(check string) "atom" "1k" (Sexpr.atom v);
+    Alcotest.(check (option (float 1e-3))) "si suffix" (Some 1000.)
+      (Ape_symbolic.Parser.parse_number (Sexpr.atom v));
+    (match Sexpr.atom fc with
+    | exception Sexpr.Error { pos; _ } ->
+      Alcotest.(check (pair int int)) "atom of a list fails at the list"
+        (2, 3) (pos.Sexpr.line, pos.Sexpr.col)
+    | _ -> Alcotest.fail "atom of a list must fail")
+  | _ -> Alcotest.fail "expected two forms"
 
 let test_sexp_unbalanced () =
-  match Sexp.parse "(a (b)" with
-  | _ -> () (* tolerated: open list runs to EOF *)
-  | exception Sexp.Parse_error _ -> ()
+  (match Sexpr.parse "(a (b)" with
+  | exception Sexpr.Error { pos; _ } ->
+    Alcotest.(check (pair int int)) "unclosed list position" (1, 1)
+      (pos.Sexpr.line, pos.Sexpr.col)
+  | _ -> Alcotest.fail "unbalanced '(' must be an error");
+  expect_spec_error ~at:"1:1" "(system x (chain)"
 
 let test_sexp_roundtrip () =
   let s = "(system x (chain (amplifier (gain 10))))" in
-  match Sexp.parse s with
-  | [ one ] -> Alcotest.(check string) "roundtrip" s (Sexp.to_string one)
+  match Sexpr.parse s with
+  | [ one ] -> Alcotest.(check string) "roundtrip" s (to_string one)
   | _ -> Alcotest.fail "expected one form"
 
 (* ---------- system spec ---------- *)
@@ -66,12 +84,21 @@ let test_parse_system () =
 let test_parse_system_errors () =
   let expect_bad s =
     match System.parse s with
-    | exception (System.Spec_error _ | Sexp.Parse_error _) -> ()
+    | exception System.Spec_error _ -> ()
     | _ -> Alcotest.fail ("expected Spec_error for " ^ s)
   in
   expect_bad "(not_a_system x)";
   expect_bad "(system x (chain (warp_drive (gain 1))))";
   expect_bad "(system x (chain (amplifier (gain 10))))" (* missing bandwidth *)
+
+let test_parse_system_error_positions () =
+  (* Every spec error names the line:col of the offending form. *)
+  expect_spec_error ~at:"3:5"
+    "(system x\n  (chain\n    (amplifier (gain 10))))";
+  expect_spec_error ~at:"2:11" "(system x\n  (chain (warp_drive (gain 1))))";
+  expect_spec_error ~at:"1:41"
+    "(system x (chain (lowpass (order 4) (fc fast))))";
+  expect_spec_error ~at:"1:1" "(not_a_system x)"
 
 let test_estimate_system () =
   let sys = System.parse audio_spec in
@@ -177,6 +204,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_parse_system;
           Alcotest.test_case "errors" `Quick test_parse_system_errors;
+          Alcotest.test_case "error positions" `Quick
+            test_parse_system_error_positions;
           Alcotest.test_case "estimate" `Quick test_estimate_system;
         ] );
       ( "constraints",
