@@ -6,7 +6,13 @@
      dune exec bench/main.exe            # all tables + quick micro pass
      dune exec bench/main.exe table4     # one experiment
      dune exec bench/main.exe micro      # bechamel micro-benchmarks only
-   Set APE_BENCH_FAST=1 for a reduced annealing budget. *)
+   Set APE_BENCH_FAST=1 for a reduced annealing budget.
+
+   The gated experiments (obs-overhead, anneal, serve, sparse, sweep,
+   calib) write BENCH_<name>.json and check their own bounds on the
+   values they just measured: a miss prints a FAIL line with the
+   readings and the process exits 1 after the requested experiments
+   have run. *)
 
 module E = Ape_estimator
 module S = Ape_synth
@@ -40,88 +46,73 @@ let heading title =
   pf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* ------------------------------------------------------------------ *)
-(* Table 2: estimation vs simulation for basic analog circuits.        *)
+(* The harness: one timer, one record writer, one gate.                *)
 (* ------------------------------------------------------------------ *)
 
-type basic_case = {
-  bc_name : string;
-  bc_est : E.Perf.t;
-  bc_sim : E.Perf.t;
-}
+(* [f ()]'s first result and the best (smallest) of [trials] readings
+   of [meter] across it: wall seconds by default, or allocated bytes
+   with [Gc.allocated_bytes].  A GC slice or a preempt inflates a
+   reading, never deflates one, so the minimum is the honest one. *)
+let best_of ?(trials = 1) ?(meter = Unix.gettimeofday) f =
+  let once () =
+    let m0 = meter () in
+    let r = f () in
+    (r, meter () -. m0)
+  in
+  let r, m = once () in
+  let best = ref m in
+  for _ = 2 to trials do
+    best := Float.min !best (snd (once ()))
+  done;
+  (r, !best)
 
-let table2_cases () =
-  let dc_volt =
-    let d =
-      E.Bias.Dc_volt.design proc { E.Bias.Dc_volt.vout = 2.5; i = 100e-6 }
-    in
-    {
-      bc_name = "DCVolt";
-      bc_est = d.E.Bias.Dc_volt.perf;
-      bc_sim = E.Verify.sim_dc_volt proc d;
-    }
-  in
-  let mirror topology =
-    let d =
-      E.Bias.Current_mirror.design proc
-        (E.Bias.Current_mirror.spec ~topology ~iout:100e-6 ())
-    in
-    {
-      bc_name = E.Bias.mirror_topology_name topology;
-      bc_est = d.E.Bias.Current_mirror.perf;
-      bc_sim = E.Verify.sim_mirror proc d;
-    }
-  in
-  let stage kind av i =
-    let d =
-      E.Gain_stage.design proc (E.Gain_stage.spec ~av ~cl:1e-12 kind ~i)
-    in
-    {
-      bc_name = E.Gain_stage.kind_name kind;
-      bc_est = d.E.Gain_stage.perf;
-      bc_sim = E.Verify.sim_gain_stage proc d;
-    }
-  in
-  let diff load av =
-    let d =
-      E.Diff_pair.design proc
-        (E.Diff_pair.spec ~av ~cl:1e-12 load ~itail:1e-6)
-    in
-    {
-      bc_name = E.Diff_pair.load_name load;
-      bc_est = d.E.Diff_pair.perf;
-      bc_sim = E.Verify.sim_diff_pair proc d;
-    }
-  in
-  [
-    dc_volt;
-    mirror E.Bias.Simple;
-    mirror E.Bias.Wilson;
-    mirror E.Bias.Cascode;
-    stage E.Gain_stage.Gain_nmos 8.5 120e-6;
-    stage E.Gain_stage.Gain_cmos 19. 120e-6;
-    stage E.Gain_stage.Gain_cmosh 5.1 45e-6;
-    stage E.Gain_stage.Follower_stage 0.8 100e-6;
-    diff E.Diff_pair.Nmos_diode 4.;
-    diff E.Diff_pair.Cmos_mirror 1000.;
-  ]
+module J = Ape_serve.Record
+
+(* Every BENCH_<name>.json is written here, under one schema tag with
+   the facts of the machine that produced it. *)
+let write_record name fields =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let oc = open_out file in
+  output_string oc
+    (J.json_to_string
+       (J.Obj
+          (("schema", J.Str "ape-bench/1")
+          :: ("ocaml", J.Str Sys.ocaml_version)
+          :: ("domains", J.Int (Domain.recommended_domain_count ()))
+          :: fields)));
+  output_char oc '\n';
+  close_out oc;
+  pf "wrote %s\n" file
+
+(* Each check pairs a condition with the message printed when it fails;
+   any failure makes the process exit 1 at the end. *)
+let gate_failed = ref false
+
+let gate ~ok checks =
+  match List.filter (fun (pass, _) -> not pass) checks with
+  | [] -> pf "%s OK\n" ok
+  | fails ->
+    List.iter (fun (_, msg) -> pf "FAIL: %s\n" msg) fails;
+    gate_failed := true
+
+(* ------------------------------------------------------------------ *)
+(* Table 2: estimation vs simulation for basic analog circuits.        *)
+(* ------------------------------------------------------------------ *)
 
 let run_table2 () =
   heading
     "Table 2: Estimation vs SPICE-substitute simulation, basic analog \
      circuits";
-  let cases = table2_cases () in
-  let row c =
-    let pick f = (f c.bc_est, f c.bc_sim) in
+  let row (name, est, sim) =
+    let pick f = (f est, f sim) in
     let cell (e, s) fmt = Printf.sprintf "%s / %s" (opt fmt e) (opt fmt s) in
     [
-      c.bc_name;
-      Printf.sprintf "%s / %s"
-        (um2 c.bc_est.E.Perf.gate_area)
-        (um2 c.bc_sim.E.Perf.gate_area);
+      name;
+      Printf.sprintf "%s / %s" (um2 est.E.Perf.gate_area)
+        (um2 sim.E.Perf.gate_area);
       cell (pick (fun p -> p.E.Perf.ugf)) (fun x -> eng x ^ "Hz");
-      Printf.sprintf "%s / %s"
-        (eng c.bc_est.E.Perf.dc_power)
-        (eng c.bc_sim.E.Perf.dc_power);
+      Printf.sprintf "%s / %s" (eng est.E.Perf.dc_power)
+        (eng sim.E.Perf.dc_power);
       cell (pick (fun p -> p.E.Perf.gain)) (fun x -> Printf.sprintf "%.3g" x);
       cell (pick (fun p -> p.E.Perf.current)) (fun x -> eng x ^ "A");
     ]
@@ -137,27 +128,11 @@ let run_table2 () =
            "Gain (est/sim)";
            "Current (est/sim)";
          ]
-       (List.map row cases))
+       (List.map row (Ape_check.Cases.basic_cases proc)))
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: estimation vs simulation for operational amplifiers.       *)
 (* ------------------------------------------------------------------ *)
-
-let table3_specs () =
-  [
-    ( "OpAmp1",
-      E.Opamp.spec ~buffer:true ~zout:1e3 ~bias_topology:E.Bias.Wilson
-        ~av:206. ~ugf:1.3e6 ~ibias:1e-6 ~cl:10e-12 () );
-    ( "OpAmp2",
-      E.Opamp.spec ~buffer:true ~zout:1e3 ~bias_topology:E.Bias.Wilson
-        ~av:374. ~ugf:8e6 ~ibias:2e-6 ~cl:10e-12 () );
-    ( "OpAmp3",
-      E.Opamp.spec ~buffer:true ~zout:2e3 ~bias_topology:E.Bias.Wilson
-        ~av:167. ~ugf:12.4e6 ~ibias:1.5e-6 ~cl:10e-12 () );
-    ( "OpAmp4",
-      E.Opamp.spec ~bias_topology:E.Bias.Simple ~av:514. ~ugf:2.6e6
-        ~ibias:1e-6 ~cl:10e-12 () );
-  ]
 
 let run_table3 () =
   heading "Table 3: Estimation vs simulation, operational amplifiers";
@@ -188,7 +163,7 @@ let run_table3 () =
             (fun x -> Printf.sprintf "%.0f" (Ape_util.Float_ext.db_of_gain x));
           pair (fun p -> p.E.Perf.slew_rate) (fun x -> eng x);
         ])
-      (table3_specs ())
+      (Ape_check.Cases.opamp_specs ())
   in
   print_string
     (Table.render
@@ -387,50 +362,6 @@ let metric_keys = function
   | S.Module_problem.M_bpf _ ->
     [ ("f0", "f0"); ("gain", "gain"); ("bandwidth", "BW") ]
 
-let est_metrics kind design =
-  let p = E.Module_lib.perf design in
-  let common =
-    [
-      ("gain", p.E.Perf.gain);
-      ("bandwidth", p.E.Perf.bandwidth);
-      ("area", Some p.E.Perf.gate_area);
-    ]
-  in
-  let extra =
-    match design with
-    | E.Module_lib.D_lpf d ->
-      [
-        ("f3db", Some d.E.Filter.f3db_est);
-        ("f20db", Some d.E.Filter.f20db_est);
-      ]
-    | E.Module_lib.D_bpf d -> [ ("f0", Some d.E.Filter.f0_est) ]
-    | E.Module_lib.D_adc d ->
-      [ ("delay", Some d.E.Data_conv.Flash_adc.delay_est) ]
-    | E.Module_lib.D_sh d ->
-      [ ("response", Some d.E.Sample_hold.response_time_est) ]
-    | E.Module_lib.D_audio _ | E.Module_lib.D_dac _ | E.Module_lib.D_closed _
-    | E.Module_lib.D_comp _ ->
-      []
-  in
-  ignore kind;
-  List.filter_map
-    (fun (k, v) -> Option.map (fun v -> (k, v)) v)
-    (common @ extra)
-
-let sim_metrics (sim : E.Verify.module_sim) =
-  let p = sim.E.Verify.perf in
-  List.filter_map
-    (fun (k, v) -> Option.map (fun v -> (k, v)) v)
-    [
-      ("gain", p.E.Perf.gain);
-      ("bandwidth", p.E.Perf.bandwidth);
-      ("f3db", p.E.Perf.bandwidth);
-      ("f20db", sim.E.Verify.f_20db);
-      ("f0", sim.E.Verify.f0);
-      ("delay", sim.E.Verify.response_time);
-      ("area", Some p.E.Perf.gate_area);
-    ]
-
 let synth_metrics (r : S.Module_problem.result) =
   match r.S.Module_problem.measured with
   | None -> []
@@ -445,11 +376,13 @@ let run_table5 () =
   List.iter
     (fun (kind, spec_rows) ->
       let name = S.Module_problem.kind_name kind in
-      let t0 = Unix.gettimeofday () in
-      let design = S.Module_problem.ape_module proc kind in
-      let ape_seconds = Unix.gettimeofday () -. t0 in
-      let est = est_metrics kind design in
-      let sim = sim_metrics (E.Verify.sim_module proc design) in
+      let design, ape_seconds =
+        best_of (fun () -> S.Module_problem.ape_module proc kind)
+      in
+      let est = Ape_check.Cases.module_estimated design in
+      let sim =
+        Ape_check.Cases.module_simulated (E.Verify.sim_module proc design)
+      in
       let area_budget = 1.4 *. (E.Module_lib.perf design).E.Perf.gate_area in
       let standalone =
         S.Module_problem.run ~schedule:synth_schedule ~rng proc
@@ -552,16 +485,18 @@ let run_hierarchy () =
 
 let run_ape_timing () =
   heading "APE estimation cost (paper: 0.12 s for all ten opamps)";
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun row -> ignore (S.Opamp_problem.ape_design proc row))
-    (opamp_rows ());
-  let t_opamps = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (kind, _) -> ignore (S.Module_problem.ape_module proc kind))
-    (table5_cases ());
-  let t_modules = Unix.gettimeofday () -. t0 in
+  let (), t_opamps =
+    best_of (fun () ->
+        List.iter
+          (fun row -> ignore (S.Opamp_problem.ape_design proc row))
+          (opamp_rows ()))
+  in
+  let (), t_modules =
+    best_of (fun () ->
+        List.iter
+          (fun (kind, _) -> ignore (S.Module_problem.ape_module proc kind))
+          (table5_cases ()))
+  in
   pf "ten opamp estimations:   %.4f s\n" t_opamps;
   pf "five module estimations: %.4f s\n" t_modules
 
@@ -632,11 +567,7 @@ let run_ablation () =
         Array.init problem.S.Opamp_problem.dim (fun _ ->
             Ape_util.Rng.uniform rng 0. 1.))
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    List.iter f points;
-    Unix.gettimeofday () -. t0
-  in
+  let time f = snd (best_of (fun () -> List.iter f points)) in
   let t_relaxed = time (fun p -> ignore (problem.S.Opamp_problem.cost p)) in
   let t_full = time (fun p -> ignore (problem.S.Opamp_problem.final p)) in
   pf "relaxed (KCL + AWE):        %6.2f ms/eval
@@ -674,12 +605,13 @@ let run_ablation () =
         | exception Ape_spice.Dc.No_convergence _ ->
           [ Ape_process.Process.corner_name c; "-"; "-"; "-" ]
         | op ->
+          let prep = Ape_spice.Ac.prepare op in
           [
             Ape_process.Process.corner_name c;
-            Printf.sprintf "%.1f" (Ape_spice.Measure.dc_gain ~out:"out" op);
+            Printf.sprintf "%.1f" (Ape_spice.Measure.dc_gain ~out:"out" prep);
             opt eng
               (Ape_spice.Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
-                 ~out:"out" op);
+                 ~out:"out" prep);
             eng (Ape_spice.Dc.static_power op ~supply:"VDD");
           ])
       [ Ape_process.Process.Typical; Ape_process.Process.Slow;
@@ -812,11 +744,7 @@ let run_sweep () =
   in
   let n_grid = List.length grid in
   let repeats = if fast_mode then 3 else 10 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
+  let time f = snd (best_of f) in
   (* Warm both paths once so allocation/GC start-up is off the clock. *)
   List.iter (fun f -> ignore (Ape_oracle.Ac.solve_at op f)) grid;
   let t_restamp =
@@ -857,26 +785,24 @@ let run_sweep () =
      stamps; after, one preparation serves the whole set. *)
   let sets = if fast_mode then 50 else 200 in
   let measure_per_call () =
-    ignore (Measure.dc_gain ~out:"out" op);
-    ignore (Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9 ~out:"out" op);
-    ignore (Measure.f_minus_3db ~fmax:1e9 ~out:"out" op)
+    ignore (Measure.dc_gain ~out:"out" (Ac.prepare op));
+    ignore
+      (Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9 ~out:"out"
+         (Ac.prepare op));
+    ignore (Measure.f_minus_3db ~fmax:1e9 ~out:"out" (Ac.prepare op))
   in
   let measure_shared () =
     let p = Ac.prepare op in
-    ignore (Measure.Prepared.dc_gain ~out:"out" p);
+    ignore (Measure.dc_gain ~out:"out" p);
     ignore
-      (Measure.Prepared.unity_gain_frequency ~fmin:1e3 ~fmax:1e9 ~out:"out" p);
-    ignore (Measure.Prepared.f_minus_3db ~fmax:1e9 ~out:"out" p)
+      (Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9 ~out:"out" p);
+    ignore (Measure.f_minus_3db ~fmax:1e9 ~out:"out" p)
   in
   measure_per_call ();
   measure_shared ();
   (* Best of three trials: a single GC major slice can swamp these
      sub-second loops. *)
-  let best f =
-    List.fold_left
-      (fun acc _ -> Float.min acc (time f))
-      Float.infinity [ 1; 2; 3 ]
-  in
+  let best f = snd (best_of ~trials:3 f) in
   let t_per_call =
     best (fun () -> for _ = 1 to sets do measure_per_call () done)
   in
@@ -970,8 +896,8 @@ let run_sweep () =
       (points_at 1) (points_at 8)
   in
   pf "panel vs per-frequency bit-identical: %b\n" bit_identical;
-  (* The path this PR replaces — a fresh workspace clone per frequency
-     (the old parallel sweep branch) — as a second baseline. *)
+  (* The path the blocked sweep replaced — a fresh workspace clone per
+     frequency (the old parallel sweep branch) — as a second baseline. *)
   let per_freq_rate =
     List.iter (fun f -> ignore (Ac.solve_fresh ladder_prep f)) ladder_grid;
     let t =
@@ -1010,19 +936,9 @@ let run_sweep () =
         ignore (Ac.sweep_prepared ladder_prep ladder_grid))
   in
   if not obs_was then Ape_obs.disable ();
-  assert (blocked_workspaces < fresh_workspaces);
   (* On-heap allocation per point, minimum over passes (a GC slice or
      domain-counter fold can inflate one pass, never deflate it). *)
-  let alloc_min f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let a0 = Gc.allocated_bytes () in
-      f ();
-      let a = Gc.allocated_bytes () -. a0 in
-      if a < !best then best := a
-    done;
-    !best
-  in
+  let alloc_min f = snd (best_of ~trials:5 ~meter:Gc.allocated_bytes f) in
   let fresh_alloc =
     alloc_min (fun () ->
         List.iter (fun f -> ignore (Ac.solve_fresh ladder_prep f)) ladder_grid)
@@ -1060,54 +976,64 @@ let run_sweep () =
   pf "\nnoise at one frequency (%d sources): direct %d solves, adjoint %d\n"
     noise_sources direct_solves adjoint_solves;
 
-  let oc = open_out "BENCH_sweep.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"grid_points\": %d,\n\
-    \  \"repeats\": %d,\n\
-    \  \"restamp_solves_per_sec\": %.1f,\n\
-    \  \"prepared_solves_per_sec\": %.1f,\n\
-    \  \"prepared_speedup\": %.2f,\n\
-    \  \"measure_sets\": %d,\n\
-    \  \"measure_per_call_prep_sec\": %.4f,\n\
-    \  \"measure_shared_prep_sec\": %.4f,\n\
-    \  \"anneal_cache_lookups\": %d,\n\
-    \  \"anneal_cache_hits\": %d,\n\
-    \  \"anneal_cache_hit_rate\": %.4f,\n\
-    \  \"panel_sections\": %d,\n\
-    \  \"panel_grid_points\": %d,\n\
-    \  \"panel_scalar_solves_per_sec\": %.1f,\n\
-    \  \"panel_width_curve\": [%s],\n\
-    \  \"panel_blocked_solves_per_sec\": %.1f,\n\
-    \  \"panel_per_freq_solves_per_sec\": %.1f,\n\
-    \  \"blocked_speedup\": %.2f,\n\
-    \  \"panel_bit_identical\": %b,\n\
-    \  \"fresh_workspaces_per_sweep\": %d,\n\
-    \  \"blocked_workspaces_per_sweep\": %d,\n\
-    \  \"fresh_alloc_bytes_per_point\": %.0f,\n\
-    \  \"blocked_alloc_bytes_per_point\": %.0f,\n\
-    \  \"noise_sources\": %d,\n\
-    \  \"noise_direct_solves\": %d,\n\
-    \  \"noise_adjoint_solves\": %d\n\
-     }\n"
-    n_grid repeats (rate t_restamp) (rate t_prepared) speedup sets t_per_call
-    t_shared lookups hits hit_rate gate_n ladder_pts scalar_rate
-    (String.concat ", "
-       (List.map
-          (fun (w, r) ->
-            Printf.sprintf "{\"width\": %d, \"solves_per_sec\": %.1f}" w r)
-          ((1, scalar_rate) :: width_curve)))
-    blocked_rate per_freq_rate blocked_speedup bit_identical fresh_workspaces
-    blocked_workspaces (per_pt fresh_alloc) (per_pt blocked_alloc)
-    noise_sources direct_solves adjoint_solves;
-  close_out oc;
-  pf "\nwrote BENCH_sweep.json\n"
+  write_record "sweep"
+    [
+      ("grid_points", J.Int n_grid);
+      ("repeats", J.Int repeats);
+      ("restamp_solves_per_sec", J.Float (rate t_restamp));
+      ("prepared_solves_per_sec", J.Float (rate t_prepared));
+      ("prepared_speedup", J.Float speedup);
+      ("measure_sets", J.Int sets);
+      ("measure_per_call_prep_sec", J.Float t_per_call);
+      ("measure_shared_prep_sec", J.Float t_shared);
+      ("anneal_cache_lookups", J.Int lookups);
+      ("anneal_cache_hits", J.Int hits);
+      ("anneal_cache_hit_rate", J.Float hit_rate);
+      ("panel_sections", J.Int gate_n);
+      ("panel_grid_points", J.Int ladder_pts);
+      ("panel_scalar_solves_per_sec", J.Float scalar_rate);
+      ( "panel_width_curve",
+        J.Arr
+          (List.map
+             (fun (w, r) ->
+               J.Obj [ ("width", J.Int w); ("solves_per_sec", J.Float r) ])
+             ((1, scalar_rate) :: width_curve)) );
+      ("panel_blocked_solves_per_sec", J.Float blocked_rate);
+      ("panel_per_freq_solves_per_sec", J.Float per_freq_rate);
+      ("blocked_speedup", J.Float blocked_speedup);
+      ("panel_bit_identical", J.Bool bit_identical);
+      ("fresh_workspaces_per_sweep", J.Int fresh_workspaces);
+      ("blocked_workspaces_per_sweep", J.Int blocked_workspaces);
+      ("fresh_alloc_bytes_per_point", J.Float (per_pt fresh_alloc));
+      ("blocked_alloc_bytes_per_point", J.Float (per_pt blocked_alloc));
+      ("noise_sources", J.Int noise_sources);
+      ("noise_direct_solves", J.Int direct_solves);
+      ("noise_adjoint_solves", J.Int adjoint_solves);
+    ];
+  gate
+    ~ok:
+      (Printf.sprintf
+         "blocked %.2fx >= 2x, adjoint solves %d, workspaces %d -> %d"
+         blocked_speedup adjoint_solves fresh_workspaces blocked_workspaces)
+    [
+      (bit_identical, "panel results not bit-identical");
+      ( blocked_speedup >= 2.0,
+        Printf.sprintf "blocked speedup %.2fx < 2x" blocked_speedup );
+      ( adjoint_solves = 1,
+        Printf.sprintf "%d adjoint solves at one frequency (want 1)"
+          adjoint_solves );
+      ( direct_solves >= 2,
+        Printf.sprintf "direct reference made only %d solves" direct_solves );
+      ( blocked_workspaces < fresh_workspaces,
+        Printf.sprintf "blocked sweep cloned %d workspaces (fresh path: %d)"
+          blocked_workspaces fresh_workspaces );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the same prepared 181-point sweep with the  *)
 (* metrics registry disabled vs enabled.  Two gates ride on this       *)
-(* experiment: the solutions must stay bit-identical, and ci.sh        *)
-(* rejects an overhead above 2%.  Emits BENCH_obs.json.                *)
+(* experiment: the solutions must stay bit-identical, and the overhead *)
+(* must not exceed 2%.  Emits BENCH_obs.json.                          *)
 (* ------------------------------------------------------------------ *)
 
 let run_obs_overhead () =
@@ -1125,28 +1051,18 @@ let run_obs_overhead () =
      drown scheduler noise, short enough for five trials per setting. *)
   Ape_obs.disable ();
   ignore (sweep_once ());
-  let t1 =
-    let t0 = Unix.gettimeofday () in
-    ignore (sweep_once ());
-    Unix.gettimeofday () -. t0
-  in
+  let _, t1 = best_of sweep_once in
   let target = if fast_mode then 0.1 else 0.4 in
   let repeats =
     max 3 (int_of_float (Float.round (target /. Float.max 1e-6 t1)))
   in
   let trials = 5 in
   let time_trials () =
-    (* Best of [trials]: a GC major slice or a preempt inflates a trial,
-       never deflates one, so the minimum is the honest estimate. *)
-    let best = ref infinity in
-    for _ = 1 to trials do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to repeats do
-        ignore (sweep_once ())
-      done;
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
+    snd
+      (best_of ~trials (fun () ->
+           for _ = 1 to repeats do
+             ignore (sweep_once ())
+           done))
   in
   let sols_off = sweep_once () in
   let t_off = time_trials () in
@@ -1190,44 +1106,38 @@ let run_obs_overhead () =
   pf "solutions bit-identical with registry on: %b\n" identical;
   pf "observability overhead: %+.2f %%  (grid: %d points, 1 Hz .. 1 GHz)\n"
     overhead_pct n_grid;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"grid_points\": %d,\n\
-    \  \"repeats\": %d,\n\
-    \  \"trials\": %d,\n\
-    \  \"off_seconds\": %.6f,\n\
-    \  \"on_seconds\": %.6f,\n\
-    \  \"off_solves_per_sec\": %.1f,\n\
-    \  \"on_solves_per_sec\": %.1f,\n\
-    \  \"overhead_pct\": %.4f,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    n_grid repeats trials t_off t_on (rate t_off) (rate t_on) overhead_pct
-    identical;
-  close_out oc;
-  pf "wrote BENCH_obs.json\n";
-  if not identical then begin
-    pf "FAIL: instrumentation changed numeric results\n";
-    exit 1
-  end
+  write_record "obs"
+    [
+      ("grid_points", J.Int n_grid);
+      ("repeats", J.Int repeats);
+      ("trials", J.Int trials);
+      ("off_seconds", J.Float t_off);
+      ("on_seconds", J.Float t_on);
+      ("off_solves_per_sec", J.Float (rate t_off));
+      ("on_solves_per_sec", J.Float (rate t_on));
+      ("overhead_pct", J.Float overhead_pct);
+      ("bit_identical", J.Bool identical);
+    ];
+  gate
+    ~ok:(Printf.sprintf "obs overhead %.2f%% <= 2%%" overhead_pct)
+    [
+      (identical, "results not bit-identical");
+      ( overhead_pct <= 2.0,
+        Printf.sprintf "obs overhead %.2f%% > 2%%" overhead_pct );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel tempering: sequential vs multi-chain wall time to reach    *)
 (* the same cost target on an opamp synthesis workload.  The target is *)
 (* the sequential engine's own final cost, so the question is exactly  *)
 (* "how much sooner does the tempered ensemble find something at least *)
-(* this good".  Emits BENCH_anneal.json; ci.sh gates on the speedup.   *)
+(* this good".  Emits BENCH_anneal.json; gated at >= 2x.               *)
 (* ------------------------------------------------------------------ *)
 
 let run_anneal () =
   heading "Parallel tempering: time to the sequential engine's final cost";
-  let env_int name default =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
-  in
-  let row = List.nth (opamp_rows ()) (env_int "APE_BENCH_ROW" 6) in
-  let seed = env_int "APE_BENCH_SEED" 1 in
-  let chains = env_int "APE_BENCH_CHAINS" 4 in
+  let row = List.nth (opamp_rows ()) 6 in
+  let seed = 1 and chains = 4 in
   let mode = S.Opamp_problem.Wide in
   let schedule =
     if fast_mode then S.Anneal.quick_schedule else S.Anneal.default_schedule
@@ -1284,36 +1194,34 @@ let run_anneal () =
   pf "target %s, speedup %.2fx\n"
     (if reached then "reached" else "NOT reached")
     speedup;
-  let oc = open_out "BENCH_anneal.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"row\": %S,\n\
-    \  \"seed\": %d,\n\
-    \  \"chains\": %d,\n\
-    \  \"max_evaluations\": %d,\n\
-    \  \"target_cost\": %.6f,\n\
-    \  \"target_reached\": %b,\n\
-    \  \"seq_seconds\": %.4f,\n\
-    \  \"seq_evaluations\": %d,\n\
-    \  \"seq_cache_hit_rate\": %.4f,\n\
-    \  \"pt_seconds\": %.4f,\n\
-    \  \"pt_evaluations\": %d,\n\
-    \  \"pt_cache_hit_rate\": %.4f,\n\
-    \  \"pt_exchanges\": %d,\n\
-    \  \"pt_exchange_accepted\": %d,\n\
-    \  \"speedup\": %.2f\n\
-     }\n"
-    row.S.Opamp_problem.name seed chains schedule.S.Anneal.max_evaluations
-    target reached seq_stats.S.Anneal.seconds seq_stats.S.Anneal.evaluations
-    seq_hit_rate pt_stats.S.Anneal.seconds pt_stats.S.Anneal.evaluations
-    pt_hit_rate pt_stats.S.Anneal.exchanges pt_stats.S.Anneal.exchange_accepted
-    speedup;
-  close_out oc;
-  pf "wrote BENCH_anneal.json\n"
+  write_record "anneal"
+    [
+      ("row", J.Str row.S.Opamp_problem.name);
+      ("seed", J.Int seed);
+      ("chains", J.Int chains);
+      ("max_evaluations", J.Int schedule.S.Anneal.max_evaluations);
+      ("target_cost", J.Float target);
+      ("target_reached", J.Bool reached);
+      ("seq_seconds", J.Float seq_stats.S.Anneal.seconds);
+      ("seq_evaluations", J.Int seq_stats.S.Anneal.evaluations);
+      ("seq_cache_hit_rate", J.Float seq_hit_rate);
+      ("pt_seconds", J.Float pt_stats.S.Anneal.seconds);
+      ("pt_evaluations", J.Int pt_stats.S.Anneal.evaluations);
+      ("pt_cache_hit_rate", J.Float pt_hit_rate);
+      ("pt_exchanges", J.Int pt_stats.S.Anneal.exchanges);
+      ("pt_exchange_accepted", J.Int pt_stats.S.Anneal.exchange_accepted);
+      ("speedup", J.Float speedup);
+    ];
+  gate
+    ~ok:(Printf.sprintf "tempering speedup %.2fx >= 2x" speedup)
+    [
+      (reached, "tempered run missed the target cost");
+      (speedup >= 2.0, Printf.sprintf "tempering speedup %.2fx < 2x" speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* serve: batch-service throughput, cold start vs warm shared cache.   *)
-(* Emits BENCH_serve.json; ci.sh gates the speedup at >= 2x.           *)
+(* Emits BENCH_serve.json; gated at >= 2x with a warm cache hit.       *)
 (* ------------------------------------------------------------------ *)
 
 let run_serve () =
@@ -1341,15 +1249,10 @@ let run_serve () =
   let config =
     { Sv.Scheduler.default with Sv.Scheduler.jobs = 1; queue = 16 }
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Cold: every job pays a fresh runner — empty caches, as if each
      request spun up its own process. *)
   let (), cold_seconds =
-    time (fun () ->
+    best_of (fun () ->
         List.iter
           (fun input ->
             let runner = Sv.Runner.create proc in
@@ -1365,7 +1268,7 @@ let run_serve () =
   ignore
     (Sv.Scheduler.run_batch config runner ~batch:"warmup" ~emit:ignore batch);
   let summary, warm_seconds =
-    time (fun () ->
+    best_of (fun () ->
         Sv.Scheduler.run_batch config runner ~batch:"warm" ~emit:ignore batch)
   in
   let hit_rate =
@@ -1382,26 +1285,28 @@ let run_serve () =
   pf "warm (shared runner, 2nd pass): %.3f s  (%.1f jobs/s, cache %.1f%%)\n"
     warm_seconds warm_rate (100. *. hit_rate);
   pf "speedup %.2fx\n" speedup;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"jobs\": %d,\n\
-    \  \"cold_seconds\": %.4f,\n\
-    \  \"warm_seconds\": %.4f,\n\
-    \  \"cold_jobs_per_sec\": %.2f,\n\
-    \  \"warm_jobs_per_sec\": %.2f,\n\
-    \  \"warm_cache_hit_rate\": %.4f,\n\
-    \  \"speedup\": %.2f\n\
-     }\n"
-    n_jobs cold_seconds warm_seconds cold_rate warm_rate hit_rate speedup;
-  close_out oc;
-  pf "wrote BENCH_serve.json\n"
+  write_record "serve"
+    [
+      ("jobs", J.Int n_jobs);
+      ("cold_seconds", J.Float cold_seconds);
+      ("warm_seconds", J.Float warm_seconds);
+      ("cold_jobs_per_sec", J.Float cold_rate);
+      ("warm_jobs_per_sec", J.Float warm_rate);
+      ("warm_cache_hit_rate", J.Float hit_rate);
+      ("speedup", J.Float speedup);
+    ];
+  gate
+    ~ok:(Printf.sprintf "serve warm/cold speedup %.2fx >= 2x" speedup)
+    [
+      (hit_rate > 0., "warm pass hit no cache");
+      (speedup >= 2.0, Printf.sprintf "serve speedup %.2fx < 2x" speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* calib: grid-sample the opamp spec space, fit a calibration card and *)
-(* measure the Tables 2/3/5 catalog error with and without it.  ci.sh  *)
-(* gates cal_max_err <= raw_max_err (and the jobs-1-vs-3 card diff via *)
-(* ape calibrate).  Emits BENCH_calib.json.                            *)
+(* measure the Tables 2/3/5 catalog error with and without it, gated   *)
+(* at cal_max_err <= raw_max_err with an improvement (ci.sh diffs the  *)
+(* jobs-1-vs-3 card of ape calibrate).  Emits BENCH_calib.json.        *)
 (* ------------------------------------------------------------------ *)
 
 let run_calib () =
@@ -1410,9 +1315,7 @@ let run_calib () =
   let module Cal = Ape_calib in
   let points = if fast_mode then 8 else 16 in
   let spec = { Cal.Grid.default with Cal.Grid.points; seed = 7 } in
-  let t0 = Unix.gettimeofday () in
-  let grid = Cal.Grid.run proc spec in
-  let grid_seconds = Unix.gettimeofday () -. t0 in
+  let grid, grid_seconds = best_of (fun () -> Cal.Grid.run proc spec) in
   let points_per_s = float_of_int points /. Float.max 1e-9 grid_seconds in
   pf "grid: %d points (%d evaluated, %d skipped) in %.2f s (%.1f pts/s)\n"
     points grid.Cal.Grid.evaluated grid.Cal.Grid.skipped grid_seconds
@@ -1449,35 +1352,38 @@ let run_calib () =
   pf "catalog max error: raw %.2f%% -> calibrated %.2f%% (%s)\n"
     (100. *. raw_max_err) (100. *. cal_max_err)
     (if improved then "improved" else "no improvement");
-  let oc = open_out "BENCH_calib.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"grid_points\": %d,\n\
-    \  \"evaluated\": %d,\n\
-    \  \"skipped\": %d,\n\
-    \  \"grid_seconds\": %.4f,\n\
-    \  \"points_per_sec\": %.2f,\n\
-    \  \"fits\": %d,\n\
-    \  \"non_identity_fits\": %d,\n\
-    \  \"raw_max_err\": %.6f,\n\
-    \  \"cal_max_err\": %.6f,\n\
-    \  \"improved\": %b\n\
-     }\n"
-    points grid.Cal.Grid.evaluated grid.Cal.Grid.skipped grid_seconds
-    points_per_s
-    (List.length card.Cal.Card.entries)
-    non_identity raw_max_err cal_max_err improved;
-  close_out oc;
-  pf "wrote BENCH_calib.json\n"
+  write_record "calib"
+    [
+      ("grid_points", J.Int points);
+      ("evaluated", J.Int grid.Cal.Grid.evaluated);
+      ("skipped", J.Int grid.Cal.Grid.skipped);
+      ("grid_seconds", J.Float grid_seconds);
+      ("points_per_sec", J.Float points_per_s);
+      ("fits", J.Int (List.length card.Cal.Card.entries));
+      ("non_identity_fits", J.Int non_identity);
+      ("raw_max_err", J.Float raw_max_err);
+      ("cal_max_err", J.Float cal_max_err);
+      ("improved", J.Bool improved);
+    ];
+  gate
+    ~ok:
+      (Printf.sprintf "calibrated max error %.4f <= raw %.4f" cal_max_err
+         raw_max_err)
+    [
+      ( cal_max_err <= raw_max_err,
+        Printf.sprintf "calibrated max error %.4f > raw %.4f" cal_max_err
+          raw_max_err );
+      (improved, "card did not improve the catalog");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sparse MNA engine: the oracle's dense restamping LU vs the          *)
 (* production symbolic-once/numeric-many sparse LU on a generated      *)
 (* RC-ladder AC sweep.  The dense LU is O(n^3) per frequency; the      *)
 (* sparse refactorisation is O(nnz) on a tridiagonal-shaped system, so *)
-(* the gap widens with the deck.  ci.sh gates the speedup at the       *)
-(* largest size at >= 3x and the dense/sparse solution disagreement at *)
-(* <= 1e-8.  Emits BENCH_sparse.json.                                  *)
+(* the gap widens with the deck.  Gated: the speedup at the largest    *)
+(* size >= 3x, the dense/sparse solution disagreement <= 1e-8 and no   *)
+(* unstable refactorisation.  Emits BENCH_sparse.json.                 *)
 (* ------------------------------------------------------------------ *)
 
 let run_sparse () =
@@ -1488,19 +1394,14 @@ let run_sparse () =
     Ac.sweep_frequencies ~points_per_decade:10 ~fstart:1e2 ~fstop:1e8 ()
   in
   let n_grid = List.length grid in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   (* Rate of per-frequency solves of one path on one deck.  [passes]
      scales the sparse side up so both sit in a measurable time window;
      the reported figure is solves/second either way. *)
   let rate solve ~passes =
     (* Warm pass: first-touch allocation off the clock. *)
     List.iter (fun f -> ignore (solve f)) grid;
-    let t =
-      time (fun () ->
+    let (), t =
+      best_of (fun () ->
           for _ = 1 to passes do
             List.iter (fun f -> ignore (solve f)) grid
           done)
@@ -1587,39 +1488,46 @@ let run_sparse () =
     n_grid max_rel_err;
   pf "sparse speedup at %d sections: %.2fx\n" gate_n gate_speedup;
 
-  let oc = open_out "BENCH_sparse.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"gate_sections\": %d,\n\
-    \  \"grid_points\": %d,\n\
-    \  \"dense_solves_per_sec\": %.1f,\n\
-    \  \"sparse_solves_per_sec\": %.1f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"max_rel_err\": %.3g,\n\
-    \  \"symbolic_factorizations\": %d,\n\
-    \  \"numeric_refactorizations\": %d,\n\
-    \  \"unstable_refactorizations\": %d,\n\
-    \  \"nnz\": %.0f,\n\
-    \  \"fill_ratio\": %.3f,\n\
-    \  \"crossover_sections\": %s,\n\
-    \  \"curve\": [%s]\n\
-     }\n"
-    gate_n n_grid gate_dense gate_sparse gate_speedup max_rel_err
-    (counter "sparse.symbolic")
-    (counter "sparse.refactor")
-    (counter "sparse.refactor_unstable")
-    (gauge "sparse.nnz") (gauge "sparse.fill_ratio")
-    (match crossover with Some n -> string_of_int n | None -> "null")
-    (String.concat ", "
-       (List.map
-          (fun (n, d, s, sp) ->
-            Printf.sprintf
-              "{\"sections\": %d, \"dense\": %.1f, \"sparse\": %.1f, \
-               \"speedup\": %.2f}"
-              n d s sp)
-          curve));
-  close_out oc;
-  pf "wrote BENCH_sparse.json\n"
+  let unstable = counter "sparse.refactor_unstable" in
+  write_record "sparse"
+    [
+      ("gate_sections", J.Int gate_n);
+      ("grid_points", J.Int n_grid);
+      ("dense_solves_per_sec", J.Float gate_dense);
+      ("sparse_solves_per_sec", J.Float gate_sparse);
+      ("speedup", J.Float gate_speedup);
+      ("max_rel_err", J.Float max_rel_err);
+      ("symbolic_factorizations", J.Int (counter "sparse.symbolic"));
+      ("numeric_refactorizations", J.Int (counter "sparse.refactor"));
+      ("unstable_refactorizations", J.Int unstable);
+      ("nnz", J.Float (gauge "sparse.nnz"));
+      ("fill_ratio", J.Float (gauge "sparse.fill_ratio"));
+      ( "crossover_sections",
+        match crossover with Some n -> J.Int n | None -> J.Null );
+      ( "curve",
+        J.Arr
+          (List.map
+             (fun (n, d, s, sp) ->
+               J.Obj
+                 [
+                   ("sections", J.Int n);
+                   ("dense", J.Float d);
+                   ("sparse", J.Float s);
+                   ("speedup", J.Float sp);
+                 ])
+             curve) );
+    ];
+  gate
+    ~ok:
+      (Printf.sprintf "sparse speedup %.2fx >= 3x, max drift %g" gate_speedup
+         max_rel_err)
+    [
+      ( max_rel_err <= 1e-8,
+        Printf.sprintf "dense/sparse drift %g > 1e-8" max_rel_err );
+      (unstable = 0, Printf.sprintf "%d unstable refactorizations" unstable);
+      ( gate_speedup >= 3.0,
+        Printf.sprintf "sparse speedup %.2fx < 3x" gate_speedup );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table.                 *)
@@ -1724,7 +1632,7 @@ let all () =
   run_micro ()
 
 let () =
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
+  (match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
   | "table1" -> run_table1 ()
   | "table2" -> run_table2 ()
   | "table3" -> run_table3 ()
@@ -1747,4 +1655,5 @@ let () =
       "unknown experiment %s (table1..table5, hierarchy, timing, ablation, \
        mc, sweep, sparse, obs-overhead, anneal, serve, calib, micro, all)\n"
       other;
-    exit 1
+    exit 1);
+  if !gate_failed then exit 1

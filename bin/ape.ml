@@ -537,7 +537,7 @@ let sim_cmd =
         | Some node ->
           (* One preparation serves every measurement below. *)
           let prep = Ape_spice.Ac.prepare op in
-          let module M = Ape_spice.Measure.Prepared in
+          let module M = Ape_spice.Measure in
           pf "AC (node %s):\n" node;
           pf "  |H(0)| = %.4g\n" (M.dc_gain ~out:node prep);
           (match M.f_minus_3db ~out:node prep with

@@ -13,9 +13,9 @@ let pf = Printf.printf
 let eng = Ape_util.Units.to_eng
 
 let sweep_response netlist ~out ~freqs =
-  let op = Ape_spice.Dc.solve netlist in
+  let p = Ape_spice.Ac.prepare (Ape_spice.Dc.solve netlist) in
   List.map
-    (fun f -> (f, Ape_spice.Measure.gain_at ~out op f))
+    (fun f -> (f, Ape_spice.Measure.gain_at ~out p f))
     freqs
 
 let bar gain gain_max =
@@ -76,9 +76,9 @@ let () =
   List.iter
     (fun (f, g) -> pf "    %8sHz  %6.3f  %s\n" (eng f) g (bar g gmax))
     response;
-  let op = Ape_spice.Dc.solve nlb in
+  let p = Ape_spice.Ac.prepare (Ape_spice.Dc.solve nlb) in
   match
-    Ape_spice.Measure.bandpass_characteristics ~fmin:20. ~fmax:50e3 ~out:"out" op
+    Ape_spice.Measure.bandpass_characteristics ~fmin:20. ~fmax:50e3 ~out:"out" p
   with
   | Some c ->
     pf "  measured: f0=%s peak=%.2f BW=%s\n" (eng c.Ape_spice.Measure.f_center)

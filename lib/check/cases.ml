@@ -99,58 +99,58 @@ let device_rows ?calibration process =
 (* Level 2: the paper's Table 2 basic-component set.                   *)
 (* ------------------------------------------------------------------ *)
 
-let basic_rows ?calibration process =
-  let tols = Tolerance.for_level Tolerance.Basic in
-  let rows ~case est sim = Diff.rows_of_perf ~case ~tols est sim in
+let basic_cases process =
   let dc_volt =
     let d =
       E.Bias.Dc_volt.design process { E.Bias.Dc_volt.vout = 2.5; i = 100e-6 }
     in
-    rows ~case:"DCVolt" d.E.Bias.Dc_volt.perf (E.Verify.sim_dc_volt process d)
+    ("DCVolt", d.E.Bias.Dc_volt.perf, E.Verify.sim_dc_volt process d)
   in
   let mirror topology =
     let d =
       E.Bias.Current_mirror.design process
         (E.Bias.Current_mirror.spec ~topology ~iout:100e-6 ())
     in
-    rows
-      ~case:(E.Bias.mirror_topology_name topology)
-      d.E.Bias.Current_mirror.perf
-      (E.Verify.sim_mirror process d)
+    ( E.Bias.mirror_topology_name topology,
+      d.E.Bias.Current_mirror.perf,
+      E.Verify.sim_mirror process d )
   in
   let stage kind av i =
     let d =
       E.Gain_stage.design process (E.Gain_stage.spec ~av ~cl:1e-12 kind ~i)
     in
-    rows
-      ~case:(E.Gain_stage.kind_name kind)
-      d.E.Gain_stage.perf
-      (E.Verify.sim_gain_stage process d)
+    ( E.Gain_stage.kind_name kind,
+      d.E.Gain_stage.perf,
+      E.Verify.sim_gain_stage process d )
   in
   let diff load av =
     let d =
       E.Diff_pair.design process
         (E.Diff_pair.spec ~av ~cl:1e-12 load ~itail:1e-6)
     in
-    rows
-      ~case:(E.Diff_pair.load_name load)
-      d.E.Diff_pair.perf
-      (E.Verify.sim_diff_pair process d)
+    ( E.Diff_pair.load_name load,
+      d.E.Diff_pair.perf,
+      E.Verify.sim_diff_pair process d )
   in
+  [
+    dc_volt;
+    mirror E.Bias.Simple;
+    mirror E.Bias.Wilson;
+    mirror E.Bias.Cascode;
+    stage E.Gain_stage.Gain_nmos 8.5 120e-6;
+    stage E.Gain_stage.Gain_cmos 19. 120e-6;
+    stage E.Gain_stage.Gain_cmosh 5.1 45e-6;
+    stage E.Gain_stage.Follower_stage 0.8 100e-6;
+    diff E.Diff_pair.Nmos_diode 4.;
+    diff E.Diff_pair.Cmos_mirror 1000.;
+  ]
+
+let basic_rows ?calibration process =
+  let tols = Tolerance.for_level Tolerance.Basic in
   apply_card ?calibration ~level:Tolerance.Basic ~region:Card.All
-    (List.concat
-       [
-         dc_volt;
-         mirror E.Bias.Simple;
-         mirror E.Bias.Wilson;
-         mirror E.Bias.Cascode;
-         stage E.Gain_stage.Gain_nmos 8.5 120e-6;
-         stage E.Gain_stage.Gain_cmos 19. 120e-6;
-         stage E.Gain_stage.Gain_cmosh 5.1 45e-6;
-         stage E.Gain_stage.Follower_stage 0.8 100e-6;
-         diff E.Diff_pair.Nmos_diode 4.;
-         diff E.Diff_pair.Cmos_mirror 1000.;
-       ])
+    (List.concat_map
+       (fun (case, est, sim) -> Diff.rows_of_perf ~case ~tols est sim)
+       (basic_cases process))
 
 (* ------------------------------------------------------------------ *)
 (* Level 3: the paper's Table 3 opamps.                                *)
@@ -192,8 +192,7 @@ let opamp_rows ?(slew = true) ?calibration process =
     (opamp_specs ())
 
 (* ------------------------------------------------------------------ *)
-(* Level 4: the paper's Table 5 module examples.  The attribute lists
-   mirror bench/main.ml's est/sim metric extraction; the S&H response
+(* Level 4: the paper's Table 5 module examples.  The S&H response
    time travels as "delay" so both timed modules share one gate.       *)
 (* ------------------------------------------------------------------ *)
 
@@ -214,7 +213,7 @@ let module_specs () =
         { E.Filter.f_center = 1e3; q = 1.; gain = 1.5; c_base = 10e-9 } );
   ]
 
-let module_est_metrics design =
+let module_estimated design =
   let p = E.Module_lib.perf design in
   let common =
     [
@@ -242,7 +241,7 @@ let module_est_metrics design =
   in
   List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) (common @ extra)
 
-let module_sim_metrics (sim : E.Verify.module_sim) =
+let module_simulated (sim : E.Verify.module_sim) =
   let p = sim.E.Verify.perf in
   List.filter_map
     (fun (k, v) -> Option.map (fun v -> (k, v)) v)
@@ -279,8 +278,8 @@ let module_rows ?calibration process =
     (fun (case, spec) ->
       let keys = module_keys spec in
       let design = E.Module_lib.design process spec in
-      let est = module_est_metrics design in
-      let sim = module_sim_metrics (E.Verify.sim_module process design) in
+      let est = module_estimated design in
+      let sim = module_simulated (E.Verify.sim_module process design) in
       List.filter_map
         (fun (t : Tolerance.t) ->
           let attr = t.Tolerance.attr in

@@ -4,8 +4,9 @@
     returning per-attribute {!Diff.row}s under the level's
     {!Tolerance} set.
 
-    The level-2/3/4 catalogs reproduce the circuits of the paper's
-    Tables 2, 3 and 5 (same specs as [bench/main.ml]); level 1 biases
+    The level-2/3/4 catalogs are the one definition of the circuits of
+    the paper's Tables 2, 3 and 5, which [bench/main.ml] renders from
+    the accessors below; level 1 biases
     individually sized transistors in a one-device testbench and
     compares the closed-form gm/gds/I_DS against the simulation
     model.
@@ -16,8 +17,22 @@
     cases use the region-free entries, and level-1 rows are never
     calibrated (the closed forms are the model itself). *)
 
+val basic_cases :
+  Ape_process.Process.t ->
+  (string * Ape_estimator.Perf.t * Ape_estimator.Perf.t) list
+(** Table 2's ten basic components as (name, estimated, simulated). *)
+
 val opamp_specs : unit -> (string * Ape_estimator.Opamp.spec) list
 (** Table 3's four opamps, by name. *)
+
+val module_estimated :
+  Ape_estimator.Module_lib.design -> (string * float) list
+(** Table 5's estimated module attributes by key ([gain], [bandwidth],
+    [area], [power], and per kind [f3db]/[f20db], [f0] or [delay]);
+    attributes the estimator leaves unset are absent. *)
+
+val module_simulated : Ape_estimator.Verify.module_sim -> (string * float) list
+(** The simulated counterparts of {!module_estimated}, same keys. *)
 
 val device_rows :
   ?calibration:Ape_calib.Card.t -> Ape_process.Process.t -> Diff.row list

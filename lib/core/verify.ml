@@ -156,9 +156,9 @@ let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
   in
   (* One AC preparation serves the gain and both frequency searches. *)
   let prep = Ape_spice.Ac.prepare op in
-  let signed_gain = Measure.Prepared.dc_gain_signed ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
-  let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
+  let signed_gain = Measure.dc_gain_signed ~out:"out" prep in
+  let ugf = Measure.unity_gain_frequency ~out:"out" prep in
+  let bw = Measure.f_minus_3db ~out:"out" prep in
   (* Output impedance: null the input drive, inject 1 A AC at the
      output. *)
   let zout =
@@ -169,8 +169,8 @@ let sim_gain_stage (process : Proc.t) (design : Gain_stage.design) =
           N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. };
         ]
     in
-    let opz = Dc.solve nl in
-    Measure.output_impedance_magnitude ~out:"out" ~freq:1.0 opz
+    Measure.output_impedance_magnitude ~out:"out" ~freq:1.0
+      (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   {
     Perf.empty with
@@ -212,13 +212,13 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
   in
   let netlist, op = solve_with_offset offset in
   let prep = Ape_spice.Ac.prepare op in
-  let adm = Measure.Prepared.dc_gain ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
-  let pm = Measure.Prepared.phase_margin ~out:"out" prep in
+  let adm = Measure.dc_gain ~out:"out" prep in
+  let ugf = Measure.unity_gain_frequency ~out:"out" prep in
+  let pm = Measure.phase_margin ~out:"out" prep in
   let acm =
     let nl = set_source_ac ~name:"VINP" ~ac:1. netlist in
     let nl = set_source_ac ~name:"VINN" ~ac:1. nl in
-    Measure.dc_gain ~out:"out" (Dc.solve nl)
+    Measure.dc_gain ~out:"out" (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   let cmrr = if acm > 0. then adm /. acm else infinity in
   let zout =
@@ -228,7 +228,8 @@ let sim_opamp ?(slew = true) (process : Proc.t) (design : Opamp.design) =
       N.append nl
         [ N.Isource { name = "IPROBE"; p = "out"; n = N.ground; dc = 0.; ac = 1. } ]
     in
-    Measure.output_impedance_magnitude ~out:"out" ~freq:1.0 (Dc.solve nl)
+    Measure.output_impedance_magnitude ~out:"out" ~freq:1.0
+      (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   (* Bias reference current: the drop across the tail mirror's reference
      resistor (named R1 inside the spliced tail instance). *)
@@ -332,15 +333,14 @@ let sim_diff_pair (process : Proc.t) (design : Diff_pair.design) =
   in
   let netlist, op = solve_with_offset offset in
   let prep = Ape_spice.Ac.prepare op in
-  let adm = Measure.Prepared.dc_gain ~out:"out" prep in
-  let signed_adm = Measure.Prepared.dc_gain_signed ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
+  let adm = Measure.dc_gain ~out:"out" prep in
+  let signed_adm = Measure.dc_gain_signed ~out:"out" prep in
+  let ugf = Measure.unity_gain_frequency ~out:"out" prep in
   (* Common-mode run: both inputs driven in phase. *)
   let acm =
     let nl = set_source_ac ~name:"VINP" ~ac:1. netlist in
     let nl = set_source_ac ~name:"VINN" ~ac:1. nl in
-    let opc = Dc.solve nl in
-    Measure.dc_gain ~out:"out" opc
+    Measure.dc_gain ~out:"out" (Ape_spice.Ac.prepare (Dc.solve nl))
   in
   let cmrr = if acm > 0. then adm /. acm else infinity in
   let noise =
@@ -449,8 +449,6 @@ type module_sim = {
 let module_sim_of_perf perf =
   { perf; response_time = None; f0 = None; f_20db = None; dc_code_error = None }
 
-let signed_gain = Measure.dc_gain_signed
-
 (* Audio amplifier: open-loop AC testbench on the trimmed two-stage
    core. *)
 let sim_audio process (d : Audio_amp.design) =
@@ -481,9 +479,9 @@ let sim_audio process (d : Audio_amp.design) =
   in
   let op = solve_with_offset offset in
   let prep = Ape_spice.Ac.prepare op in
-  let gain = Measure.Prepared.dc_gain ~out:"out" prep in
-  let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
-  let ugf = Measure.Prepared.unity_gain_frequency ~out:"out" prep in
+  let gain = Measure.dc_gain ~out:"out" prep in
+  let bw = Measure.f_minus_3db ~out:"out" prep in
+  let ugf = Measure.unity_gain_frequency ~out:"out" prep in
   module_sim_of_perf
     {
       Perf.empty with
@@ -535,17 +533,19 @@ let sim_closed process (d : Closed_loop.design) =
         ])
   in
   let op = Dc.solve netlist in
+  let prep = Ape_spice.Ac.prepare op in
   let gain, bw =
     match d.Closed_loop.spec.Closed_loop.kind with
     | Closed_loop.Integrator { f_unity } ->
       (* Gain magnitude at the unity frequency; "bandwidth" is the
          frequency where the response crosses 1. *)
-      let g = Measure.gain_at ~out:"out" op f_unity in
-      let f1 = Measure.unity_gain_frequency ~fmin:1. ~out:"out" op in
+      let g = Measure.gain_at ~out:"out" prep f_unity in
+      let f1 = Measure.unity_gain_frequency ~fmin:1. ~out:"out" prep in
       (-.g, f1)
     | Closed_loop.Inverting _ | Closed_loop.Non_inverting _
     | Closed_loop.Adder _ ->
-      (signed_gain ~out:"out" op, Measure.f_minus_3db ~out:"out" op)
+      ( Measure.dc_gain_signed ~out:"out" prep,
+        Measure.f_minus_3db ~out:"out" prep )
   in
   module_sim_of_perf
     {
@@ -568,13 +568,13 @@ let sim_lpf process (d : Filter.lp_design) =
   let op = Dc.solve netlist in
   let fc = d.Filter.lp_spec.Filter.f_cutoff in
   let prep = Ape_spice.Ac.prepare op in
-  let gain = Measure.Prepared.dc_gain ~out:"out" prep in
+  let gain = Measure.dc_gain ~out:"out" prep in
   let f3 =
-    Measure.Prepared.f_minus_3db ~fmin:(fc /. 100.) ~fmax:(fc *. 100.)
+    Measure.f_minus_3db ~fmin:(fc /. 100.) ~fmax:(fc *. 100.)
       ~out:"out" prep
   in
   let f20 =
-    Measure.Prepared.f_level_db ~fmin:(fc /. 100.) ~fmax:(fc *. 100.)
+    Measure.f_level_db ~fmin:(fc /. 100.) ~fmax:(fc *. 100.)
       ~level_db:(-20.) ~out:"out" prep
   in
   {
@@ -603,7 +603,7 @@ let sim_bpf process (d : Filter.bp_design) =
   let f0_spec = d.Filter.bp_spec.Filter.f_center in
   let bp =
     Measure.bandpass_characteristics ~fmin:(f0_spec /. 100.)
-      ~fmax:(f0_spec *. 100.) ~out:"out" op
+      ~fmax:(f0_spec *. 100.) ~out:"out" (Ape_spice.Ac.prepare op)
   in
   let gain, bw, f0 =
     match bp with
@@ -640,8 +640,8 @@ let sim_sample_hold process (d : Sample_hold.design) =
   in
   let op = Dc.solve netlist in
   let prep = Ape_spice.Ac.prepare op in
-  let gain = Measure.Prepared.dc_gain ~out:"out" prep in
-  let bw = Measure.Prepared.f_minus_3db ~out:"out" prep in
+  let gain = Measure.dc_gain ~out:"out" prep in
+  let bw = Measure.f_minus_3db ~out:"out" prep in
   (* Acquisition: step the input by 0.4 V in track mode, settle to 1 %. *)
   let t_est = Float.max 1e-6 d.Sample_hold.response_time_est in
   let tstop = 6. *. t_est in

@@ -57,9 +57,9 @@ let simulate_measure sigmas process spec =
     (* One AC preparation per die serves both the gain and the UGF
        search. *)
     let prep = Ape_spice.Ac.prepare op in
-    let gain = Float.abs (Ape_spice.Measure.Prepared.dc_gain ~out:"out" prep) in
+    let gain = Float.abs (Ape_spice.Measure.dc_gain ~out:"out" prep) in
     let ugf =
-      Ape_spice.Measure.Prepared.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
+      Ape_spice.Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
         ~out:"out" prep
     in
     List.filter_map

@@ -81,10 +81,13 @@ let rec emit buf = function
       fields;
     Buffer.add_char buf '}'
 
-let to_line fields =
+let json_to_string j =
   let buf = Buffer.create 256 in
-  emit buf (Obj (("schema", Str "ape-serve/1") :: fields));
+  emit buf j;
   Buffer.contents buf
+
+let to_line fields =
+  json_to_string (Obj (("schema", Str "ape-serve/1") :: fields))
 
 let render ~deterministic r =
   let error =

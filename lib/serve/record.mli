@@ -21,6 +21,11 @@ type json =
 
 val float_opt : float option -> json
 
+val json_to_string : json -> string
+(** Compact one-line JSON.  Floats print as the shortest decimal that
+    round-trips ({!Ape_util.Units.to_exact}), so equal values render
+    byte-identically. *)
+
 type status =
   | Done  (** the job ran and its own success criterion held *)
   | Unmet  (** ran to completion but the spec/yield/check failed *)

@@ -161,14 +161,16 @@ let run_mc t job (spec : Job.opamp_spec) samples level sigma_scale =
 
 let run_sim t file out =
   let text = In_channel.with_open_text file In_channel.input_all in
-  let netlist = Ape_circuit.Spice_parser.parse ~process:t.proc ~title:file text in
+  let netlist =
+    Ape_circuit.Spice_parser.parse ~process:t.proc ~path:file ~title:file text
+  in
   let op = Ape_spice.Dc.solve netlist in
   let ac =
     match out with
     | None -> []
     | Some node ->
       let prep = Ape_spice.Ac.prepare op in
-      let module M = Ape_spice.Measure.Prepared in
+      let module M = Ape_spice.Measure in
       [ ("out", R.Str node);
         ("v_out", R.Float (Ape_spice.Dc.voltage op node));
         ("dc_gain", R.Float (M.dc_gain ~out:node prep));

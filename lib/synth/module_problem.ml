@@ -193,19 +193,19 @@ let measure_at (process : Proc.t) kind ~area_scale netlist op =
     let m =
       match kind with
       | M_audio _ | M_sh _ ->
-        let gain = Measure.Prepared.dc_gain ~out:"out" prep in
+        let gain = Measure.dc_gain ~out:"out" prep in
         let bw =
-          Measure.Prepared.f_minus_3db ~fmin:10. ~fmax:1e9 ~out:"out" prep
+          Measure.f_minus_3db ~fmin:10. ~fmax:1e9 ~out:"out" prep
         in
         add (("gain", gain) :: m) "bandwidth" bw
       | M_adc { delay = _; bits } ->
-        let gain = Measure.Prepared.dc_gain ~out:"out" prep in
+        let gain = Measure.dc_gain ~out:"out" prep in
         (* Default [1 V, 4 V] conversion window (see Flash_adc.spec). *)
         let lsb = 3.0 /. float_of_int (1 lsl bits) in
         let ugf =
           if gain <= 1. then None
           else
-            Measure.Prepared.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
+            Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
               ~out:"out" prep
         in
         let delay_proxy =
@@ -217,19 +217,19 @@ let measure_at (process : Proc.t) kind ~area_scale netlist op =
         in
         add (add (("gain", gain) :: m) "ugf" ugf) "delay" delay_proxy
       | M_lpf { f_cutoff; _ } ->
-        let gain = Measure.Prepared.dc_gain ~out:"out" prep in
+        let gain = Measure.dc_gain ~out:"out" prep in
         let f3 =
-          Measure.Prepared.f_minus_3db ~fmin:(f_cutoff /. 100.)
+          Measure.f_minus_3db ~fmin:(f_cutoff /. 100.)
             ~fmax:(f_cutoff *. 100.) ~out:"out" prep
         in
         let f20 =
-          Measure.Prepared.f_level_db ~fmin:(f_cutoff /. 100.)
+          Measure.f_level_db ~fmin:(f_cutoff /. 100.)
             ~fmax:(f_cutoff *. 100.) ~level_db:(-20.) ~out:"out" prep
         in
         add (add (("gain", gain) :: m) "f3db" f3) "f20db" f20
       | M_bpf { f_center; _ } -> (
         match
-          Measure.Prepared.bandpass_characteristics ~fmin:(f_center /. 50.)
+          Measure.bandpass_characteristics ~fmin:(f_center /. 50.)
             ~fmax:(f_center *. 50.) ~out:"out" prep
         with
         | Some bp ->
@@ -313,7 +313,7 @@ let build ?cache_quantum ?(cache_capacity = 8192) ~rng (process : Proc.t)
     let sizes, nodes = split point in
     let nl = Template.instantiate template sizes in
     let x = Relax.x_engine relax nodes in
-    let kcl = Relax.kcl_penalty relax nl x in
+    let kcl, _ = Relax.kcl_penalty relax nl x in
     let op = Relax.fake_op relax nl x in
     let measurement = measure_at process kind ~area_scale nl op in
     Cost.evaluate cost_model measurement +. (3. *. kcl)

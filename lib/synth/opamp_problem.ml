@@ -130,7 +130,7 @@ let measure_netlist ?(out_dc_target = 2.5) (process : Proc.t) row netlist =
   | op ->
     (* One AC preparation serves the gain and the UGF search. *)
     let prep = Ape_spice.Ac.prepare op in
-    let gain = Ape_spice.Measure.Prepared.dc_gain ~out:"out" prep in
+    let gain = Ape_spice.Measure.dc_gain ~out:"out" prep in
     let base =
       [
         ("gain", gain);
@@ -143,7 +143,7 @@ let measure_netlist ?(out_dc_target = 2.5) (process : Proc.t) row netlist =
     let ugf =
       if gain <= 1. then None
       else
-        Ape_spice.Measure.Prepared.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
+        Ape_spice.Measure.unity_gain_frequency ~fmin:1e3 ~fmax:1e9
           ~out:"out" prep
     in
     Some (match ugf with Some u -> ("ugf", u) :: base | None -> base)
@@ -265,12 +265,12 @@ let build ?cache ?cache_quantum ?(cache_capacity = 8192) ?calibration
     let sizes, nodes = split point in
     let nl = Template.instantiate template sizes in
     let x = Relax.x_engine relax nodes in
-    let kcl = Relax.kcl_penalty relax nl x in
+    let kcl, g = Relax.kcl_penalty relax nl x in
     (* AWE at the relaxed point (OBLX's evaluation): DC transfer and a
-       2-pole unity-gain estimate, one LU of G. *)
+       2-pole unity-gain estimate, one LU of the penalty's G. *)
     let fake_op = Relax.fake_op relax nl x in
     let measurement =
-      match Ape_spice.Awe.pade ~q:2 ~out:"out" fake_op with
+      match Ape_spice.Awe.pade ~q:2 ~g ~out:"out" fake_op with
       | exception Ape_spice.Awe.Moment_failure _ -> None
       | approx ->
         let gain = Float.abs approx.Ape_spice.Awe.dc_value in

@@ -90,13 +90,14 @@ let kcl_penalty t netlist x =
   let f, j =
     Ape_spice.Engine.residual_jacobian ~gmin:1e-12 netlist t.index x
   in
-  List.fold_left
-    (fun acc i ->
-      let gii = Float.abs (Rmat.get j i i) in
-      acc +. (Float.abs f.(i) /. Float.max 1e-9 gii))
-    0. t.free_row_ids
-  /. float_of_int (max 1 (n_free t))
-  /. 0.05
+  ( List.fold_left
+      (fun acc i ->
+        let gii = Float.abs (Rmat.get j i i) in
+        acc +. (Float.abs f.(i) /. Float.max 1e-9 gii))
+      0. t.free_row_ids
+    /. float_of_int (max 1 (n_free t))
+    /. 0.05,
+    j )
 
 let node_voltage t x node = Ape_spice.Engine.node_voltage t.index x node
 

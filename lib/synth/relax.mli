@@ -32,10 +32,14 @@ val centers_unit : t -> float array
 (** The unit-cube coordinates of the node centres (the starting point
     for [`Centered] runs). *)
 
-val kcl_penalty : t -> Ape_circuit.Netlist.t -> float array -> float
+val kcl_penalty :
+  t -> Ape_circuit.Netlist.t -> float array -> float * Ape_util.Matrix.Rmat.t
 (** Voltage-equivalent KCL violation at the relaxed point: mean over
     free nodes of |f_i|/g_ii, normalised to 50 mV — 0 when Kirchhoff's
-    laws hold, ~1 when nodes are tens of millivolts inconsistent. *)
+    laws hold, ~1 when nodes are tens of millivolts inconsistent.  Also
+    returns the Jacobian G it was read from, which is AWE's conductance
+    matrix at the same point ({!Ape_spice.Awe.pade}'s [~g]), so one
+    stamping serves both. *)
 
 val node_voltage : t -> float array -> Ape_circuit.Netlist.node -> float
 (** Read a node voltage out of an engine state vector. *)

@@ -398,6 +398,28 @@ let test_runner_sim () =
     Alcotest.failf "f_minus_3db: unexpected %s"
       (match other with Record.Null -> "null" | _ -> "value")
 
+(* A sim job resolves .INCLUDE against the deck's own directory, not
+   the daemon's working directory, and measures what a direct solve of
+   the same deck measures. *)
+let test_runner_sim_include () =
+  let file = "../examples/decks/two_stage.sp" in
+  let job =
+    parse_one (Printf.sprintf "(job sim (id h1) (file %S) (out out))" file)
+  in
+  let status, payload = run_one job in
+  Alcotest.(check string) "sim with include ok" "ok" (Record.status_name status);
+  let direct =
+    let text = In_channel.with_open_text file In_channel.input_all in
+    let nl =
+      Ape_circuit.Spice_parser.parse ~process:proc ~path:file ~title:file text
+    in
+    Ape_spice.Measure.dc_gain ~out:"out"
+      (Ape_spice.Ac.prepare (Ape_spice.Dc.solve nl))
+  in
+  match assoc "dc_gain" payload with
+  | Record.Float g -> Alcotest.(check (float 0.)) "dc_gain as direct" direct g
+  | _ -> Alcotest.fail "dc_gain not a float"
+
 let test_runner_sim_missing_file () =
   let job = parse_one "(job sim (id x) (file \"no/such/file.sp\"))" in
   let status, _ = run_one job in
@@ -540,6 +562,8 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "sim payload" `Quick test_runner_sim;
+          Alcotest.test_case "sim resolves includes" `Quick
+            test_runner_sim_include;
           Alcotest.test_case "sim missing file" `Quick
             test_runner_sim_missing_file;
           Alcotest.test_case "verify payload" `Quick test_runner_verify;

@@ -139,9 +139,9 @@ let test_ac_rc_analytic () =
     [ 1.; 10.; fc; 1e3; 1e4 ]
 
 let test_ac_phase () =
-  let op = Dc.solve (rc_lowpass ()) in
+  let p = Ac.prepare (Dc.solve (rc_lowpass ())) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-6) in
-  check_close "phase at fc" (-45.) (Measure.phase_at ~out:"out" op fc)
+  check_close "phase at fc" (-45.) (Measure.phase_at ~out:"out" p fc)
     ~tol:1e-3
 
 let test_ac_sweep_shape () =
@@ -164,13 +164,13 @@ let test_measure_f3db_ugf () =
   B.vcvs b ~p:"x" ~n:"0" ~cp:"in" ~cn:"0" 10.;
   B.resistor b ~a:"x" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 1e-9;
-  let op = Dc.solve (B.finish b) in
+  let p = Ac.prepare (Dc.solve (B.finish b)) in
   let fc = 1. /. (2. *. Float.pi *. 1e3 *. 1e-9) in
-  check_close "dc gain" 10. (Measure.dc_gain ~out:"out" op) ~tol:1e-9;
-  (match Measure.f_minus_3db ~fmin:10. ~fmax:1e8 ~out:"out" op with
+  check_close "dc gain" 10. (Measure.dc_gain ~out:"out" p) ~tol:1e-9;
+  (match Measure.f_minus_3db ~fmin:10. ~fmax:1e8 ~out:"out" p with
   | Some f -> check_close "f3db" fc f ~tol:1e-3
   | None -> Alcotest.fail "no f3db");
-  match Measure.unity_gain_frequency ~fmin:10. ~fmax:1e8 ~out:"out" op with
+  match Measure.unity_gain_frequency ~fmin:10. ~fmax:1e8 ~out:"out" p with
   | Some f -> check_close "ugf" (fc *. Float.sqrt 99.) f ~tol:1e-3
   | None -> Alcotest.fail "no ugf"
 
@@ -183,8 +183,8 @@ let test_measure_bandpass () =
   B.vcvs b ~p:"buf" ~n:"0" ~cp:"hp" ~cn:"0" 1.;
   B.resistor b ~a:"buf" ~b:"out" 1e3;
   B.capacitor b ~a:"out" ~b:"0" 100e-9;
-  let op = Dc.solve (B.finish b) in
-  match Measure.bandpass_characteristics ~fmin:10. ~fmax:1e5 ~out:"out" op with
+  let p = Ac.prepare (Dc.solve (B.finish b)) in
+  match Measure.bandpass_characteristics ~fmin:10. ~fmax:1e5 ~out:"out" p with
   | Some bp ->
     let f0 = 1. /. (2. *. Float.pi *. 1e3 *. 100e-9) in
     check_close "f0" f0 bp.Measure.f_center ~tol:0.02;
@@ -880,25 +880,25 @@ let subhertz_positive_nl () =
   B.finish b
 
 let test_signed_gain_subhertz_poles () =
-  let op = Dc.solve (subhertz_positive_nl ()) in
+  let p = Ac.prepare (Dc.solve (subhertz_positive_nl ())) in
   (* Sanity: the old 1 Hz probe really sits beyond 90° of lag. *)
-  let ph1 = Measure.phase_at ~out:"out" op 1.0 in
+  let ph1 = Measure.phase_at ~out:"out" p 1.0 in
   Alcotest.(check bool)
     (Printf.sprintf "1 Hz phase beyond ±90° (%.1f°)" ph1)
     true
     (Float.abs ph1 > 90.);
   (* gmin (1e-12 S) loads the two 1 MΩ stages by ~1 ppm each. *)
   check_close "positive gain recovered" 2.0
-    (Measure.dc_gain_signed ~out:"out" op)
+    (Measure.dc_gain_signed ~out:"out" p)
     ~tol:1e-5;
   (* And an actually inverting stage still reports negative. *)
   let b = B.create ~title:"inv" in
   B.vsource b ~p:"in" ~n:"0" ~ac:1. 0.;
   B.vcvs b ~p:"out" ~n:"0" ~cp:"0" ~cn:"in" 3.;
   B.resistor b ~a:"out" ~b:"0" 1e3;
-  let opi = Dc.solve (B.finish b) in
+  let pi = Ac.prepare (Dc.solve (B.finish b)) in
   check_close "inverting gain" (-3.)
-    (Measure.dc_gain_signed ~out:"out" opi)
+    (Measure.dc_gain_signed ~out:"out" pi)
     ~tol:1e-9
 
 (* Three coincident poles behind a gain of 1000: |H| = 1 at
@@ -923,8 +923,8 @@ let three_pole_nl () =
   B.finish b
 
 let test_phase_margin_unwrapped () =
-  let op = Dc.solve (three_pole_nl ()) in
-  match Measure.phase_margin ~fmin:1. ~fmax:1e8 ~out:"out" op with
+  let p = Ac.prepare (Dc.solve (three_pole_nl ())) in
+  match Measure.phase_margin ~fmin:1. ~fmax:1e8 ~out:"out" p with
   | None -> Alcotest.fail "no unity crossing found"
   | Some pm ->
     (* 180 − 3·atan(√99) in degrees. *)
@@ -943,8 +943,8 @@ let test_unwrapped_phase_matches_wrapped_when_no_wrap () =
   let p = Ape_spice.Ac.prepare op in
   List.iter
     (fun f ->
-      let wrapped = Measure.Prepared.phase_at ~out:"out" p f in
-      let unwrapped = Measure.Prepared.unwrapped_phase_at ~out:"out" p f in
+      let wrapped = Measure.phase_at ~out:"out" p f in
+      let unwrapped = Measure.unwrapped_phase_at ~out:"out" p f in
       Alcotest.(check (float 0.))
         (Printf.sprintf "no-wrap identity at %g Hz" f)
         wrapped unwrapped)

@@ -215,6 +215,61 @@ let test_template_groups_matched () =
     | _ -> Alcotest.fail "pair devices missing"
   done
 
+(* Frozen relaxed-cost bits: the in-loop cost (KCL penalty + AWE) at
+   seeded points of two Table 1 rows in both interval modes, printed
+   with %h so any change in the arithmetic shows as a diff.  Promote
+   with APE_UPDATE_GOLDEN=1, run from test/. *)
+let cost_bits_path () =
+  let dir =
+    List.find Sys.file_exists [ "golden"; Filename.concat "test" "golden" ]
+  in
+  Filename.concat dir "synth_cost_bits.tsv"
+
+let cost_bits_lines () =
+  let rows =
+    [
+      { small_row with S.Opamp_problem.name = "oa0"; gain = 200.; ugf = 1.3e6;
+        curr_src = E.Bias.Wilson; buffer = true; zout = Some 1e3 };
+      { small_row with S.Opamp_problem.name = "oa6"; gain = 50.; ugf = 10e6;
+        ibias = 10e-6 };
+    ]
+  in
+  List.concat_map
+    (fun (row : S.Opamp_problem.row) ->
+      let ape = S.Opamp_problem.ape_design proc row in
+      let area = 1.3 *. ape.E.Opamp.perf.E.Perf.gate_area in
+      let row = { row with S.Opamp_problem.area } in
+      List.concat_map
+        (fun (mode_name, mode) ->
+          let problem = S.Opamp_problem.build proc ~mode row ape in
+          let rng = Ape_util.Rng.create 2024 in
+          List.init 10 (fun i ->
+              (* Half over the whole box, half near its centre, where
+                 the relaxed bias point is close to solving KCL. *)
+              let lo, hi = if i < 5 then (0., 1.) else (0.45, 0.55) in
+              let x =
+                Array.init problem.S.Opamp_problem.dim (fun _ ->
+                    Ape_util.Rng.uniform rng lo hi)
+              in
+              Printf.sprintf "%s\t%s\t%d\t%h" row.S.Opamp_problem.name mode_name
+                i (problem.S.Opamp_problem.cost x)))
+        [ ("wide", S.Opamp_problem.Wide);
+          ("ape0.2", S.Opamp_problem.Ape_centered 0.2) ])
+    rows
+
+let test_cost_bits_golden () =
+  let lines = cost_bits_lines () in
+  if Ape_check.Golden.update_requested () then
+    Out_channel.with_open_text (cost_bits_path ()) (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+  else
+    let golden =
+      In_channel.with_open_text (cost_bits_path ()) In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (( <> ) "")
+    in
+    Alcotest.(check (list string)) "relaxed cost bits" golden lines
+
 let test_measure_keys () =
   let row = row_with_budget () in
   let design = S.Opamp_problem.ape_design proc row in
@@ -356,7 +411,7 @@ let test_relax_centered_zero_penalty () =
   (* `Centered` seeds the unknowns from a true DC solve, so Kirchhoff
      holds exactly at the centre point. *)
   let pen =
-    S.Relax.kcl_penalty t nl (S.Relax.x_engine t (S.Relax.centers_unit t))
+    fst (S.Relax.kcl_penalty t nl (S.Relax.x_engine t (S.Relax.centers_unit t)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "penalty ~0 at the DC solution (got %g)" pen)
@@ -405,8 +460,8 @@ let prop_relax_penalty_monotone =
         S.Relax.x_engine t (Array.map (fun c -> c +. (s *. d)) centres)
       in
       let a = frac *. b in
-      let pa = S.Relax.kcl_penalty t nl (point a) in
-      let pb = S.Relax.kcl_penalty t nl (point b) in
+      let pa = fst (S.Relax.kcl_penalty t nl (point a)) in
+      let pb = fst (S.Relax.kcl_penalty t nl (point b)) in
       pa >= 0. && pa <= pb +. 1e-9)
 
 (* ---------- parallel tempering ---------- *)
@@ -590,6 +645,8 @@ let () =
             test_ape_centered_meets_fast;
           Alcotest.test_case "matched groups" `Quick test_template_groups_matched;
           Alcotest.test_case "measurement keys" `Quick test_measure_keys;
+          Alcotest.test_case "relaxed cost bits golden" `Quick
+            test_cost_bits_golden;
           Alcotest.test_case "comment classification" `Quick
             test_comment_classification;
         ] );
